@@ -9,6 +9,28 @@ same-group sources to exploit their redundancy and verifying each path with
 the stochastic delay bound.  ``delivery_ratio`` is the relaxation used when
 no schedule meets the delay bound: it lower-bounds the fraction of source
 information delivered within the bound at a given violation probability.
+
+Most of that work repeats across subsets, so every public call (``ratecal``,
+``feasible_rates``, ``bflr``, ``bflr_table``) builds one ``_Context`` for its
+(scenario, ``bounding_overrides``) pair and passes it down to
+``subset_service`` and ``schedule_subset``.  The context memoizes, in plain
+dicts:
+
+* path services, keyed by ``(path id, frozenset(active partners))``, where
+  the partners of a path are the paths sharing an impairment entry with it;
+  nothing else about the subset changes a path's service;
+* each source's Gaussian rate and the rate-sorted source order;
+* ``aggregate_information`` results, keyed by the set of source ids;
+* ``marginal_redundancy_rate`` results, keyed by ``(candidate id, chosen
+  ids)``, with the chosen ids in list order because the redundancy sums
+  floats in that order;
+* path checks, keyed by the fused source ids, the path's service key, the
+  delay and the violation probability.
+
+A context is never shared across calls and dies with the call that built
+it, so every answer is the one computed without it, bit for bit and in the
+same order.  Each of these functions builds its own context when called
+without one.
 """
 
 from __future__ import annotations
@@ -20,6 +42,7 @@ from typing import Mapping, Sequence
 from .bounding import ExpBound, ZeroBound, bf_convolve, bf_invert, grid_step, shift_bound
 from .calculus import (
     GuaranteeReport,
+    IsaSpec,
     IssSpec,
     delay_bound,
     parallel,
@@ -82,31 +105,107 @@ class RatioResult:
 
 
 # ---------------------------------------------------------------------------
+# Per-call analysis context
+# ---------------------------------------------------------------------------
+
+
+class _Context:
+    """Memo tables of one public call for one (scenario, overrides) pair."""
+
+    def __init__(self, s: Scenario,
+                 bounding_overrides: Mapping[str, tuple[float, float]] | None):
+        self.s = s
+        self.overrides = bounding_overrides
+        self.partners: dict[str, set[str]] = {}
+        for e in s.impairments:
+            self.partners.setdefault(e.a[0], set()).add(e.b[0])
+            self.partners.setdefault(e.b[0], set()).add(e.a[0])
+        self._services: dict[tuple, IssSpec] = {}
+        self._rates: dict[str, float] = {}
+        self._order: tuple[SourceModel, ...] | None = None
+        self._arrivals: dict[frozenset, IsaSpec] = {}
+        self._redundancy: dict[tuple, float] = {}
+        self._checks: dict[tuple, GuaranteeReport | None] = {}
+
+    def service(self, active: set[str], pid: str) -> tuple[tuple, IssSpec]:
+        """Service key and impaired service of ``pid`` inside ``active``."""
+        key = (pid, frozenset(self.partners.get(pid, set()) & active))
+        spec = self._services.get(key)
+        if spec is None:
+            spec = self._services[key] = effective_path_service(self.s, active, pid,
+                                                                self.overrides)
+        return key, spec
+
+    def rate(self, src: SourceModel) -> float:
+        rate = self._rates.get(src.id)
+        if rate is None:
+            rate = self._rates[src.id] = gaussian_rate(src)
+        return rate
+
+    def order(self) -> tuple[SourceModel, ...]:
+        """Sources by decreasing Gaussian rate, ties by id."""
+        if self._order is None:
+            self._order = tuple(sorted(self.s.sources, key=lambda src: (-self.rate(src), src.id)))
+        return self._order
+
+    def arrival(self, sources: Sequence[SourceModel]) -> IsaSpec:
+        key = frozenset(src.id for src in sources)
+        spec = self._arrivals.get(key)
+        if spec is None:
+            spec = self._arrivals[key] = aggregate_information(list(sources), self.s.spatial)
+        return spec
+
+    def next_by_redundancy(self, remaining: list[SourceModel],
+                           chosen: list[SourceModel]) -> SourceModel:
+        """The remaining source of largest marginal redundancy with ``chosen``."""
+        chosen_ids = tuple(src.id for src in chosen)
+
+        def redundancy(src):
+            key = (src.id, chosen_ids)
+            red = self._redundancy.get(key)
+            if red is None:
+                red = self._redundancy[key] = marginal_redundancy_rate(src, chosen,
+                                                                       self.s.spatial)
+            return red
+
+        return min(remaining, key=lambda src: (-redundancy(src), -self.rate(src), src.id))
+
+    def check(self, fused: list[SourceModel], service_key: tuple, service: IssSpec,
+              p: float, delay: float) -> GuaranteeReport | None:
+        key = (frozenset(src.id for src in fused), service_key, delay, p)
+        if key not in self._checks:
+            self._checks[key] = _path_check(self.arrival(fused), service, p, delay)
+        return self._checks[key]
+
+
+# ---------------------------------------------------------------------------
 # RateCal
 # ---------------------------------------------------------------------------
 
 
 def subset_service(s: Scenario, subset: Sequence[str],
                    bounding_overrides: Mapping[str, tuple[float, float]] | None = None,
-                   ) -> IssSpec:
+                   *, ctx: _Context | None = None) -> IssSpec:
     """Parallel composition of the subset's impaired end-to-end paths."""
+    ctx = ctx or _Context(s, bounding_overrides)
     active = set(subset)
-    return parallel([effective_path_service(s, active, pid, bounding_overrides)
-                     for pid in subset])
+    return parallel([ctx.service(active, pid)[1] for pid in subset])
 
 
 def ratecal(s: Scenario, prune: bool = False,
             bounding_overrides: Mapping[str, tuple[float, float]] | None = None,
-            ) -> list[AchievableRate]:
+            *, ctx: _Context | None = None) -> list[AchievableRate]:
     """Stochastically achievable information delivery rates: one per non-empty
     path subset; with ``prune``, dominated subsets are dropped."""
     ids = s.path_ids()
     if len(ids) > SUBSET_LIMIT:
         raise SubsetLimitExceeded(f"{len(ids)} paths exceed the 2^{SUBSET_LIMIT} guard")
+    ctx = ctx or _Context(s, bounding_overrides)
     rates = []
     for k in range(1, len(ids) + 1):
         for combo in itertools.combinations(ids, k):
-            rates.append(AchievableRate(combo, subset_service(s, combo, bounding_overrides)))
+            rates.append(AchievableRate(combo, subset_service(s, combo, bounding_overrides,
+                                                              ctx=ctx)))
     if prune:
         rates = [r for r in rates
                  if not any(o is not r and dominates(o.service, r.service) for o in rates)]
@@ -160,17 +259,6 @@ def gaussian_rate(src: SourceModel) -> float:
     return gaussian_arrival_curve(src).curve.final_slope
 
 
-def _sorted_sources(s: Scenario) -> list[SourceModel]:
-    return sorted(s.sources, key=lambda src: (-gaussian_rate(src), src.id))
-
-
-def _next_by_redundancy(remaining: list[SourceModel], chosen: list[SourceModel],
-                        spatial) -> SourceModel:
-    return min(remaining,
-               key=lambda src: (-marginal_redundancy_rate(src, chosen, spatial),
-                                -gaussian_rate(src), src.id))
-
-
 def _path_order(s: Scenario, subset: Sequence[str]) -> list[str]:
     # ordered by standalone service rate; in-subset impaired rates would
     # reorder tied paths and break the published assignment pattern
@@ -190,31 +278,31 @@ def _path_check(arrival, service, p: float, delay: float) -> GuaranteeReport | N
 
 def schedule_subset(s: Scenario, subset: Sequence[str], delay: float, p: float,
                     bounding_overrides: Mapping[str, tuple[float, float]] | None = None,
-                    ) -> Schedule | Infeasible:
+                    *, ctx: _Context | None = None) -> Schedule | Infeasible:
     """Best-fit/largest-redundancy packing of all sources onto one subset."""
-    services = {pid: effective_path_service(s, set(subset), pid, bounding_overrides)
-                for pid in subset}
-    remaining = _sorted_sources(s)
+    ctx = ctx or _Context(s, bounding_overrides)
+    active = set(subset)
+    services = {pid: ctx.service(active, pid) for pid in subset}
+    remaining = list(ctx.order())
     assignment: dict[str, str] = {}
     certificates: dict[str, GuaranteeReport] = {}
     if not remaining:
         return Schedule(assignment, tuple(subset), certificates)
     for pid in _path_order(s, subset):
-        service = services[pid]
+        key, service = services[pid]
         best = next((src for src in remaining
-                     if gaussian_rate(src) < service.asymptotic_rate), None)
+                     if ctx.rate(src) < service.asymptotic_rate), None)
         if best is None:
             continue
-        report = _path_check(aggregate_information([best], s.spatial), service, p, delay)
+        report = ctx.check([best], key, service, p, delay)
         if report is None:
             continue
         chosen = [best]
         remaining.remove(best)
         # grow the fused set by largest marginal redundancy until the path check fails
         while remaining:
-            cand = _next_by_redundancy(remaining, chosen, s.spatial)
-            trial = _path_check(aggregate_information(chosen + [cand], s.spatial),
-                                service, p, delay)
+            cand = ctx.next_by_redundancy(remaining, chosen)
+            trial = ctx.check(chosen + [cand], key, service, p, delay)
             if trial is None:
                 break
             chosen.append(cand)
@@ -231,11 +319,12 @@ def schedule_subset(s: Scenario, subset: Sequence[str], delay: float, p: float,
 
 def feasible_rates(s: Scenario, prune: bool = False,
                    bounding_overrides: Mapping[str, tuple[float, float]] | None = None,
-                   ) -> list[AchievableRate]:
+                   *, ctx: _Context | None = None) -> list[AchievableRate]:
     """RateCal output filtered to rates at or above the total arrival rate of
     the source set, sorted by decreasing rate (ties by subset id)."""
-    total = aggregate_information(list(s.sources), s.spatial).asymptotic_rate
-    rates = [r for r in ratecal(s, prune, bounding_overrides)
+    ctx = ctx or _Context(s, bounding_overrides)
+    total = ctx.arrival(s.sources).asymptotic_rate
+    rates = [r for r in ratecal(s, prune, bounding_overrides, ctx=ctx)
              if r.service.asymptotic_rate >= total]
     rates.sort(key=lambda r: (-float(r.service.asymptotic_rate), r.subset))
     return rates
@@ -250,8 +339,9 @@ def bflr(s: Scenario, delay: float, p: float, prune: bool = False,
     first feasible best-fit/largest-redundancy packing; ``Infeasible`` after
     all subsets have been checked.
     """
-    for rate in feasible_rates(s, prune, bounding_overrides):
-        result = schedule_subset(s, rate.subset, delay, p, bounding_overrides)
+    ctx = _Context(s, bounding_overrides)
+    for rate in feasible_rates(s, prune, bounding_overrides, ctx=ctx):
+        result = schedule_subset(s, rate.subset, delay, p, bounding_overrides, ctx=ctx)
         if isinstance(result, Schedule):
             return result
     return Infeasible()
@@ -262,8 +352,9 @@ def bflr_table(s: Scenario, delay: float, p: float, prune: bool = False,
                ) -> list[tuple[tuple[str, ...], Schedule | Infeasible]]:
     """Per-subset scheduling outcomes for every above-rate subset (the
     published-results table enumerates these rather than stopping early)."""
-    return [(rate.subset, schedule_subset(s, rate.subset, delay, p, bounding_overrides))
-            for rate in feasible_rates(s, prune, bounding_overrides)]
+    ctx = _Context(s, bounding_overrides)
+    return [(rate.subset, schedule_subset(s, rate.subset, delay, p, bounding_overrides, ctx=ctx))
+            for rate in feasible_rates(s, prune, bounding_overrides, ctx=ctx)]
 
 
 # ---------------------------------------------------------------------------
@@ -274,18 +365,19 @@ def bflr_table(s: Scenario, delay: float, p: float, prune: bool = False,
 def _ratio_assignment(s: Scenario, subset: Sequence[str],
                       services: Mapping[str, IssSpec]) -> tuple[dict[str, str], list[SourceModel]]:
     """Ratio-variant packing: rate checks only, no delay gate."""
-    remaining = _sorted_sources(s)
+    ctx = _Context(s, None)
+    remaining = list(ctx.order())
     assignment: dict[str, str] = {}
     for pid in _path_order(s, subset):
         service = services[pid]
         best = next((src for src in remaining
-                     if gaussian_rate(src) < service.asymptotic_rate), None)
+                     if ctx.rate(src) < service.asymptotic_rate), None)
         if best is None:
             continue
         chosen = [best]
         remaining.remove(best)
         while remaining:
-            cand = _next_by_redundancy(remaining, chosen, s.spatial)
+            cand = ctx.next_by_redundancy(remaining, chosen)
             combined = aggregate_information(chosen + [cand], s.spatial)
             if combined.asymptotic_rate >= service.asymptotic_rate:
                 break

@@ -73,6 +73,20 @@ def _overrides(args):
     return PAPER_TABLE1_BOUNDINGS if args.paper_table1 else None
 
 
+def _check_violation(args) -> None:
+    if not 0 < args.violation <= 1:
+        raise InfoCalcError(f"--violation {args.violation:g} must lie in (0, 1]")
+
+
+def _path_line(result: Schedule, pid: str, bound: str = "") -> str:
+    """One path of a schedule; an idle path has no certificate and no quantile."""
+    report = result.certificates.get(pid)
+    if report is None:
+        return f"{pid}: (idle)"
+    return (f"{pid}: {', '.join(result.sources_on(pid))}"
+            f"  [delay quantile {report.derived_quantile*1000:.3f} ms{bound}]")
+
+
 def cmd_ratecal(args) -> int:
     s = load_scenario(args.scenario)
     rates = ratecal(s, prune=args.prune, bounding_overrides=_overrides(args))
@@ -113,6 +127,7 @@ def _schedule_rows(subset, result):
 
 
 def cmd_bflr(args) -> int:
+    _check_violation(args)
     s = load_scenario(args.scenario)
     delay = args.delay_ms / 1000.0
     if args.all_subsets:
@@ -125,10 +140,7 @@ def cmd_bflr(args) -> int:
             if isinstance(result, Schedule):
                 any_ok = True
                 lines.append(f"  {'+'.join(subset):16s} FEASIBLE")
-                for pid in subset:
-                    q = result.certificates[pid].derived_quantile
-                    lines.append(f"    {pid}: {', '.join(result.sources_on(pid)) or '(idle)'}"
-                                 f"  [delay quantile {q*1000:.3f} ms]")
+                lines += [f"    {_path_line(result, pid)}" for pid in subset]
             else:
                 lines.append(f"  {'+'.join(subset):16s} X  ({result.reason})")
         _emit(args, rows, lines)
@@ -142,15 +154,13 @@ def cmd_bflr(args) -> int:
     rows = [_schedule_rows(result.subset, result)]
     lines = [f"feasible schedule on {'+'.join(result.subset)} "
              f"(delay {args.delay_ms} ms, violation {args.violation}):"]
-    for pid in result.subset:
-        q = result.certificates[pid].derived_quantile
-        lines.append(f"  {pid}: {', '.join(result.sources_on(pid)) or '(idle)'}"
-                     f"  [delay quantile {q*1000:.3f} ms <= {args.delay_ms} ms]")
+    lines += [f"  {_path_line(result, pid, f' <= {args.delay_ms} ms')}" for pid in result.subset]
     _emit(args, rows, lines)
     return 0
 
 
 def cmd_ratio(args) -> int:
+    _check_violation(args)
     s = load_scenario(args.scenario)
     delay = args.delay_ms / 1000.0
     overrides = _overrides(args)
@@ -184,6 +194,7 @@ def cmd_ratio(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _check_violation(args)
     s = load_scenario(args.scenario)
     delay = args.delay_ms / 1000.0
     result = bflr(s, delay, args.violation, prune=args.prune,
@@ -211,19 +222,28 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_curve(args) -> int:
+    if args.points < 2:
+        raise InfoCalcError(f"--points {args.points} must be at least 2")
     s = load_scenario(args.scenario)
     kind, _, rest = args.what.partition(":")
     if kind == "path":
         pid, _, active = rest.partition("@")
         active_set = set(active.split("+")) if active else {pid}
+        unknown = sorted((active_set | {pid}) - set(s.path_ids()))
+        if unknown:
+            raise InfoCalcError(f"unknown path id(s) {unknown} in '{args.what}'")
         spec = effective_path_service(s, active_set | {pid}, pid, _overrides(args))
         curve, bound = spec.curve, spec.bounding
     elif kind == "source":
-        src = next(x for x in s.sources if x.id == rest)
+        src = next((x for x in s.sources if x.id == rest), None)
+        if src is None:
+            raise InfoCalcError(f"unknown source id '{rest}'")
         spec = gaussian_arrival_curve(src)
         curve, bound = spec.curve, spec.bounding
     elif kind == "group":
         members = [x for x in s.sources if x.group_id == rest]
+        if not members:
+            raise InfoCalcError(f"unknown source group '{rest}'")
         spec = group_information(members, s.spatial)
         curve, bound = spec.curve, spec.bounding
     elif kind == "total" or args.what == "total":

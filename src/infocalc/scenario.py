@@ -13,6 +13,7 @@ Top-level keys: ``units``, ``sources``, ``spatial``, ``paths``,
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -114,6 +115,8 @@ def _num(obj, key: str, where: str, required: bool = True):
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError(f"{where}.{key}: expected a number, got {type(v).__name__}")
+    if not -sys.float_info.max <= v <= sys.float_info.max:  # NaN, infinities, huge ints
+        raise SchemaError(f"{where}.{key}: expected a finite number")
     return float(v)
 
 
@@ -155,7 +158,12 @@ def parse_scenario(text: str) -> Scenario:
         if (sigma2 is None) == (target is None):
             raise SchemaError(f"{where}: exactly one of 'sigma2' or 'target_rate_bps' required")
         if sigma2 is None:
-            sigma2 = calibrate_sigma2(target, delta, eta)
+            if eta <= 0 or delta <= 0:
+                raise ValidationError(f"{where}: eta and delta_s must be positive")
+            try:
+                sigma2 = calibrate_sigma2(target, delta, eta)
+            except ValueError as exc:
+                raise ValidationError(f"{where}.target_rate_bps: {exc}") from None
             rate_specs[sid] = ("target_rate_bps", target)
         else:
             rate_specs[sid] = ("sigma2", sigma2)
@@ -177,6 +185,18 @@ def parse_scenario(text: str) -> Scenario:
         spatial = SpatialModel(coeffs)
     except ValueError as exc:
         raise ValidationError(f"spatial: {exc}") from None
+    members: dict[str, int] = {}
+    for src in sources:
+        members[src.group_id] = members.get(src.group_id, 0) + 1
+    for group, k in members.items():
+        for size in range(2, k + 1):
+            if size not in coeffs.get(group, {}):
+                name = _SIZE_NAMES.get(size)
+                raise ValidationError(
+                    f"spatial.{group}: missing field '{name}' for the {k} sources of group {group}"
+                    if name else
+                    f"sources: group {group} has {k} members; spatial tables cover at most "
+                    f"{max(_SPATIAL_SIZES.values())}")
 
     paths: list[Path] = []
     if not isinstance(doc.get("paths"), list):

@@ -126,7 +126,10 @@ def calibrate_sigma2(target_rate: float, delta: float, eta: float, base: float =
         raise ValueError(
             f"per-sample entropy {bits:.0f} bits exceeds the representable variance range")
     q = _innovation(eta)
-    return base ** (2.0 * delta * target_rate) / (TWO_PI_E * q)
+    sigma2 = base ** (2.0 * delta * target_rate) / (TWO_PI_E * q)
+    if not math.isfinite(sigma2):
+        raise ValueError(f"variance for {target_rate:g} bit/s at eta={eta:g} is not representable")
+    return sigma2
 
 
 def _require_symmetric(sources: Sequence[SourceModel]) -> SourceModel:

@@ -1,10 +1,16 @@
 """RateCal, dominance pruning, BFLR scheduling and the delivery-ratio bound."""
 
+import itertools
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import random_scenario
+from infocalc import algorithms
 from infocalc.algorithms import (
+    AchievableRate,
     Infeasible,
     Schedule,
     bflr,
@@ -15,12 +21,14 @@ from infocalc.algorithms import (
     feasible_rates,
     ratecal,
     schedule_subset,
+    subset_service,
 )
 from infocalc.bounding import ExpBound, ZeroBound
 from infocalc.calculus import IssSpec, delay_bound
 from infocalc.curves import Curve
 from infocalc.errors import SubsetLimitExceeded
 from infocalc.scenario import (
+    PAPER_TABLE1_BOUNDINGS,
     Node,
     Path,
     Scenario,
@@ -248,3 +256,99 @@ class TestDeliveryRatio:
             ratios = [delivery_ratio(s, subset, t, 0.1, 0.1).ratio_lower_bound
                       for t in (0.005, 0.02, 0.08)]
             assert ratios == sorted(ratios)
+
+
+# ---------------------------------------------------------------------------
+# The per-call analysis context changes no answer
+# ---------------------------------------------------------------------------
+
+
+def paired_six_paths(case_study) -> Scenario:
+    """Six paths of 1-3 case-study nodes with paired impairments P1~P2
+    (node 0, rate 1/5) and P3~P4, P5~P6 (node 1, rate 1/3), carrying the
+    case study's nine sources."""
+    paths = tuple(Path(f"P{i}", tuple(Node(f"P{i}.{j}", 1.0, 1.0, R, 0.0075)
+                                      for j in range((i - 1) % 3 + 1)))
+                  for i in range(1, 7))
+    first, second = case_study.impairments
+    impairments = (
+        replace(first, a=("P1", 0), b=("P2", 0)),
+        replace(second, a=("P3", 1), b=("P4", 1)),
+        replace(second, a=("P5", 1), b=("P6", 1)),
+    )
+    return Scenario(case_study.sources, case_study.spatial, paths, impairments)
+
+
+def reference_ratecal(s, prune, overrides):
+    """``ratecal`` with every subset's service computed without a shared context."""
+    ids = s.path_ids()
+    rates = [AchievableRate(combo, subset_service(s, combo, overrides))
+             for k in range(1, len(ids) + 1) for combo in itertools.combinations(ids, k)]
+    if prune:
+        rates = [r for r in rates
+                 if not any(o is not r and dominates(o.service, r.service) for o in rates)]
+    return rates
+
+
+def reference_feasible_rates(s, prune, overrides):
+    total = aggregate_information(list(s.sources), s.spatial).asymptotic_rate
+    rates = [r for r in reference_ratecal(s, prune, overrides)
+             if r.service.asymptotic_rate >= total]
+    rates.sort(key=lambda r: (-float(r.service.asymptotic_rate), r.subset))
+    return rates
+
+
+def reference_table(s, delay, p, prune, overrides):
+    return [(r.subset, schedule_subset(s, r.subset, delay, p, overrides))
+            for r in reference_feasible_rates(s, prune, overrides)]
+
+
+def reference_bflr(s, delay, p, prune, overrides):
+    return next((result for _, result in reference_table(s, delay, p, prune, overrides)
+                 if isinstance(result, Schedule)), Infeasible())
+
+
+CONTEXT_CASES = [("case_study", None), ("case_study", PAPER_TABLE1_BOUNDINGS),
+                 ("paired_six", None)]
+
+
+class TestAnalysisContext:
+    @pytest.fixture(params=CONTEXT_CASES, ids=["case_study", "paper_table1", "paired_six"])
+    def case(self, request, case_study):
+        name, overrides = request.param
+        s = case_study if name == "case_study" else paired_six_paths(case_study)
+        return s, overrides
+
+    @pytest.mark.parametrize("prune", [False, True])
+    def test_rates_unchanged(self, case, prune):
+        s, overrides = case
+        assert ratecal(s, prune, overrides) == reference_ratecal(s, prune, overrides)
+        assert feasible_rates(s, prune, overrides) == reference_feasible_rates(s, prune, overrides)
+
+    @pytest.mark.parametrize("prune", [False, True])
+    @pytest.mark.parametrize("delay,p", [(0.035, 1e-3), (0.045, 1e-4), (0.005, 1e-3)])
+    def test_schedules_unchanged(self, case, prune, delay, p):
+        s, overrides = case
+        table = bflr_table(s, delay, p, prune, overrides)
+        assert table == reference_table(s, delay, p, prune, overrides)
+        assert [subset for subset, _ in table] == \
+            [r.subset for r in reference_feasible_rates(s, prune, overrides)]
+        assert bflr(s, delay, p, prune, overrides) == reference_bflr(s, delay, p, prune, overrides)
+
+    def test_one_effective_service_per_distinct_key(self, case_study, monkeypatch):
+        s = paired_six_paths(case_study)
+        partners = {"P1": {"P2"}, "P2": {"P1"}, "P3": {"P4"}, "P4": {"P3"},
+                    "P5": {"P6"}, "P6": {"P5"}}
+        calls = Counter()
+        original = algorithms.effective_path_service
+
+        def counted(s, active, path_id, bounding_overrides=None):
+            calls[(path_id, frozenset(set(active) & partners[path_id]))] += 1
+            return original(s, active, path_id, bounding_overrides)
+
+        monkeypatch.setattr(algorithms, "effective_path_service", counted)
+        bflr_table(s, 0.035, 1e-3)
+        # each path alone and with its partner active
+        assert set(calls) == {(pid, frozenset(ps)) for pid, mates in partners.items()
+                              for ps in (set(), mates)}
+        assert set(calls.values()) == {1}

@@ -161,3 +161,78 @@ class TestCurve:
         code, _, err = run(capsys, "curve", scenario_file, "--what", "bogus:thing")
         assert code == 1
         assert "selector" in err
+
+
+class TestIdlePaths:
+    @pytest.fixture()
+    def one_group_file(self, scenario_file, tmp_path):
+        # three sources fit on the fastest path, so the other paths stay idle
+        with open(scenario_file, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["sources"] = [src for src in doc["sources"] if src["group"] == "1"]
+        path = tmp_path / "one_group.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize("extra", [(), ("--all-subsets",), ("--format", "json")])
+    def test_idle_path_printed_without_quantile(self, capsys, one_group_file, extra):
+        code, out, err = run(capsys, "bflr", one_group_file, "--delay-ms", "35",
+                             "--violation", "0.001", *extra)
+        assert code == 0, err
+        if "--format" in extra:
+            row = json.loads(out)[0]
+            idle = [pid for pid, srcs in row["assignment"].items() if not srcs]
+            assert idle and not set(idle) & set(row["delay_quantiles_s"])
+        else:
+            idle_lines = [line for line in out.splitlines() if "(idle)" in line]
+            assert idle_lines
+            assert not any("quantile" in line for line in idle_lines)
+
+
+def assert_one_error_line(code, err):
+    assert code == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+class TestBadArguments:
+    @pytest.mark.parametrize("violation", ["1.5", "0", "-0.1", "nan"])
+    @pytest.mark.parametrize("command,extra", [
+        ("bflr", ()),
+        ("ratio", ("--horizon-ms", "47", "--subset", "L1+L2+L3")),
+        ("simulate", ("--runs", "10")),
+    ])
+    def test_violation_outside_unit_interval(self, capsys, scenario_file, command, extra,
+                                             violation):
+        code, out, err = run(capsys, command, scenario_file, "--delay-ms", "35",
+                             "--violation", violation, *extra)
+        assert_one_error_line(code, err)
+        assert "--violation" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("points", ["1", "0", "-3"])
+    def test_too_few_curve_points(self, capsys, scenario_file, points):
+        code, _, err = run(capsys, "curve", scenario_file, "--what", "total",
+                           "--points", points)
+        assert_one_error_line(code, err)
+        assert "--points" in err
+
+    @pytest.mark.parametrize("what,needle", [
+        ("source:NOPE", "NOPE"),
+        ("group:NOPE", "NOPE"),
+        ("path:L9", "L9"),
+        ("path:L1@L1+L9", "L9"),
+    ])
+    def test_unknown_curve_ids(self, capsys, scenario_file, what, needle):
+        code, _, err = run(capsys, "curve", scenario_file, "--what", what)
+        assert_one_error_line(code, err)
+        assert needle in err
+
+    def test_non_finite_scenario_field(self, capsys, scenario_file, tmp_path):
+        with open(scenario_file, encoding="utf-8") as fh:
+            text = fh.read()
+        bad = tmp_path / "nan_rate.json"
+        bad.write_text(text.replace('"rate_bps": 8000.0', '"rate_bps": NaN', 1))
+        code, _, err = run(capsys, "bflr", str(bad), "--delay-ms", "35", "--violation", "0.001")
+        assert_one_error_line(code, err)
+        assert "rate_bps" in err

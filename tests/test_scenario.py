@@ -112,6 +112,31 @@ class TestParse:
         with pytest.raises(ValidationError):
             parse_scenario(json.dumps(doc))
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_number_rejected(self, constant):
+        text = json.dumps(minimal_doc()).replace('"rate_bps": 8000.0', f'"rate_bps": {constant}')
+        with pytest.raises(SchemaError, match=r"paths\[0\]\.nodes\[0\]\.beta\.rate_bps.*finite"):
+            parse_scenario(text)
+
+    def test_unrepresentable_target_rate_rejected(self):
+        doc = minimal_doc()
+        doc["sources"][0]["target_rate_bps"] = 7200.0  # 1440 bits per sample at delta 0.1 s
+        with pytest.raises(ValidationError, match=r"sources\[0\]\.target_rate_bps"):
+            parse_scenario(json.dumps(doc))
+
+    def test_group_larger_than_spatial_table_rejected(self):
+        doc = minimal_doc()
+        doc["sources"] += [dict(doc["sources"][0], id=f"A{k}") for k in range(2, 5)]
+        with pytest.raises(ValidationError, match="group g has 4 members"):
+            parse_scenario(json.dumps(doc))
+
+    def test_group_without_its_size_coefficient_rejected(self):
+        doc = minimal_doc()
+        doc["sources"].append(dict(doc["sources"][0], id="A2"))
+        del doc["spatial"]["g"]["pair"]
+        with pytest.raises(ValidationError, match=r"spatial\.g: missing field 'pair'"):
+            parse_scenario(json.dumps(doc))
+
 
 class TestRoundTrip:
     def test_serialize_parse_serialize_identical(self):
