@@ -29,12 +29,11 @@ def main() -> None:
     args = ap.parse_args()
 
     s = case_study_scenario()
-    partners = {"L1": "L2", "L2": "L1", "L3": "L4", "L4": "L3"}
 
     print("== per-path information service ==")
     for pid in s.path_ids():
         plain = effective_path_service(s, {pid}, pid)
-        impaired = effective_path_service(s, {pid, partners[pid]}, pid)
+        impaired = effective_path_service(s, {pid} | s.partners(pid), pid)
         print(f"  {pid}: w/o impairment <{fmt_bound(plain.bounding)}, {fmt_curve(plain.curve)}>")
         print(f"      w/  impairment <{fmt_bound(impaired.bounding)}, {fmt_curve(impaired.curve)}>")
 

@@ -25,7 +25,6 @@ from .calculus import (
     impair,
     output_bound,
     parallel,
-    redundancy_preserved,
     superpose,
 )
 from .curves import Curve, convolve, deconvolve, horizontal_deviation

@@ -10,11 +10,14 @@ the stochastic delay bound.  ``delivery_ratio`` is the relaxation used when
 no schedule meets the delay bound: it lower-bounds the fraction of source
 information delivered within the bound at a given violation probability.
 
+Both use one greedy packer, ``_pack``, with a different path gate:
+``schedule_subset`` gates on the stochastic delay bound, ``delivery_ratio``
+on the fused arrival rate staying below the path's service rate.
+
 Most of that work repeats across subsets, so every public call (``ratecal``,
-``feasible_rates``, ``bflr``, ``bflr_table``) builds one ``_Context`` for its
-(scenario, ``bounding_overrides``) pair and passes it down to
-``subset_service`` and ``schedule_subset``.  The context memoizes, in plain
-dicts:
+``feasible_rates``, ``bflr``, ``bflr_table``, ``delivery_ratio``) builds one
+``_Context`` for its (scenario, ``bounding_overrides``) pair and passes it
+down.  The context memoizes, in plain dicts:
 
 * path services, keyed by ``(path id, frozenset(active partners))``, where
   the partners of a path are the paths sharing an impairment entry with it;
@@ -29,15 +32,14 @@ dicts:
 
 A context is never shared across calls and dies with the call that built
 it, so every answer is the one computed without it, bit for bit and in the
-same order.  Each of these functions builds its own context when called
-without one.
+same order.  The functions that take a ``ctx`` build one when given none.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .bounding import ExpBound, ZeroBound, bf_convolve, bf_invert, grid_step, shift_bound
 from .calculus import (
@@ -46,7 +48,6 @@ from .calculus import (
     IssSpec,
     delay_bound,
     parallel,
-    redundancy_preserved,
     service_deficit,
 )
 from .curves import INF, Curve
@@ -116,10 +117,7 @@ class _Context:
                  bounding_overrides: Mapping[str, tuple[float, float]] | None):
         self.s = s
         self.overrides = bounding_overrides
-        self.partners: dict[str, set[str]] = {}
-        for e in s.impairments:
-            self.partners.setdefault(e.a[0], set()).add(e.b[0])
-            self.partners.setdefault(e.b[0], set()).add(e.a[0])
+        self.partners = {pid: s.partners(pid) for pid in s.path_ids()}
         self._services: dict[tuple, IssSpec] = {}
         self._rates: dict[str, float] = {}
         self._order: tuple[SourceModel, ...] | None = None
@@ -129,7 +127,7 @@ class _Context:
 
     def service(self, active: set[str], pid: str) -> tuple[tuple, IssSpec]:
         """Service key and impaired service of ``pid`` inside ``active``."""
-        key = (pid, frozenset(self.partners.get(pid, set()) & active))
+        key = (pid, self.partners.get(pid, frozenset()) & active)
         spec = self._services.get(key)
         if spec is None:
             spec = self._services[key] = effective_path_service(self.s, active, pid,
@@ -139,7 +137,7 @@ class _Context:
     def rate(self, src: SourceModel) -> float:
         rate = self._rates.get(src.id)
         if rate is None:
-            rate = self._rates[src.id] = gaussian_rate(src)
+            rate = self._rates[src.id] = gaussian_arrival_curve(src).curve.final_slope
         return rate
 
     def order(self) -> tuple[SourceModel, ...]:
@@ -255,10 +253,6 @@ def _bounding_le(f, g) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def gaussian_rate(src: SourceModel) -> float:
-    return gaussian_arrival_curve(src).curve.final_slope
-
-
 def _path_order(s: Scenario, subset: Sequence[str]) -> list[str]:
     # ordered by standalone service rate; in-subset impaired rates would
     # reorder tied paths and break the published assignment pattern
@@ -276,45 +270,59 @@ def _path_check(arrival, service, p: float, delay: float) -> GuaranteeReport | N
     return report if report.derived_quantile <= delay else None
 
 
-def schedule_subset(s: Scenario, subset: Sequence[str], delay: float, p: float,
-                    bounding_overrides: Mapping[str, tuple[float, float]] | None = None,
-                    *, ctx: _Context | None = None) -> Schedule | Infeasible:
-    """Best-fit/largest-redundancy packing of all sources onto one subset."""
-    ctx = ctx or _Context(s, bounding_overrides)
+def _pack(ctx: _Context, subset: Sequence[str],
+          fits: Callable[[list[SourceModel], tuple, IssSpec], object | None],
+          ) -> tuple[dict[str, str], dict[str, object], list[SourceModel]]:
+    """Best-fit/largest-redundancy packing of all sources onto one subset.
+
+    Each path, in ``_path_order``, takes the fastest remaining source below
+    its rate and grows the fused set by largest marginal redundancy while
+    ``fits(fused, service_key, service)`` is not None.  Returns the
+    assignment, the last passing ``fits`` value per used path and the
+    sources left over."""
     active = set(subset)
-    services = {pid: ctx.service(active, pid) for pid in subset}
     remaining = list(ctx.order())
     assignment: dict[str, str] = {}
-    certificates: dict[str, GuaranteeReport] = {}
-    if not remaining:
-        return Schedule(assignment, tuple(subset), certificates)
-    for pid in _path_order(s, subset):
-        key, service = services[pid]
+    gates: dict[str, object] = {}
+    for pid in _path_order(ctx.s, subset):
+        if not remaining:
+            break
+        key, service = ctx.service(active, pid)
         best = next((src for src in remaining
                      if ctx.rate(src) < service.asymptotic_rate), None)
         if best is None:
             continue
-        report = ctx.check([best], key, service, p, delay)
-        if report is None:
-            continue
         chosen = [best]
+        gate = fits(chosen, key, service)
+        if gate is None:
+            continue
         remaining.remove(best)
-        # grow the fused set by largest marginal redundancy until the path check fails
         while remaining:
             cand = ctx.next_by_redundancy(remaining, chosen)
-            trial = ctx.check(chosen + [cand], key, service, p, delay)
+            trial = fits(chosen + [cand], key, service)
             if trial is None:
                 break
             chosen.append(cand)
             remaining.remove(cand)
-            report = trial
+            gate = trial
         for src in chosen:
             assignment[src.id] = pid
-        certificates[pid] = report
-        if not remaining:
-            return Schedule(assignment, tuple(subset), certificates)
-    return Infeasible(f"sources left unassigned on subset {tuple(subset)}: "
-                      f"{sorted(src.id for src in remaining)}")
+        gates[pid] = gate
+    return assignment, gates, remaining
+
+
+def schedule_subset(s: Scenario, subset: Sequence[str], delay: float, p: float,
+                    bounding_overrides: Mapping[str, tuple[float, float]] | None = None,
+                    *, ctx: _Context | None = None) -> Schedule | Infeasible:
+    """Best-fit/largest-redundancy packing of all sources onto one subset,
+    each path gated by its stochastic delay bound."""
+    ctx = ctx or _Context(s, bounding_overrides)
+    assignment, certificates, remaining = _pack(
+        ctx, subset, lambda fused, key, service: ctx.check(fused, key, service, p, delay))
+    if remaining:
+        return Infeasible(f"sources left unassigned on subset {tuple(subset)}: "
+                          f"{sorted(src.id for src in remaining)}")
+    return Schedule(assignment, tuple(subset), certificates)
 
 
 def feasible_rates(s: Scenario, prune: bool = False,
@@ -362,32 +370,6 @@ def bflr_table(s: Scenario, delay: float, p: float, prune: bool = False,
 # ---------------------------------------------------------------------------
 
 
-def _ratio_assignment(s: Scenario, subset: Sequence[str],
-                      services: Mapping[str, IssSpec]) -> tuple[dict[str, str], list[SourceModel]]:
-    """Ratio-variant packing: rate checks only, no delay gate."""
-    ctx = _Context(s, None)
-    remaining = list(ctx.order())
-    assignment: dict[str, str] = {}
-    for pid in _path_order(s, subset):
-        service = services[pid]
-        best = next((src for src in remaining
-                     if ctx.rate(src) < service.asymptotic_rate), None)
-        if best is None:
-            continue
-        chosen = [best]
-        remaining.remove(best)
-        while remaining:
-            cand = ctx.next_by_redundancy(remaining, chosen)
-            combined = aggregate_information(chosen + [cand], s.spatial)
-            if combined.asymptotic_rate >= service.asymptotic_rate:
-                break
-            chosen.append(cand)
-            remaining.remove(cand)
-        for src in chosen:
-            assignment[src.id] = pid
-    return assignment, remaining
-
-
 def delivery_ratio(s: Scenario, schedule_or_subset, delay: float, p: float, horizon: float,
                    bounding_overrides: Mapping[str, tuple[float, float]] | None = None,
                    ) -> RatioResult:
@@ -402,17 +384,19 @@ def delivery_ratio(s: Scenario, schedule_or_subset, delay: float, p: float, hori
     """
     if not 0 < p <= 1:
         raise ValueError("violation probability must lie in (0, 1]")
+    ctx = _Context(s, bounding_overrides)
     if isinstance(schedule_or_subset, Schedule):
         subset = schedule_or_subset.subset
-        services = {pid: effective_path_service(s, set(subset), pid, bounding_overrides)
-                    for pid in subset}
         assignment = dict(schedule_or_subset.assignment)
         leftovers = [src for src in s.sources if src.id not in assignment]
     else:
         subset = tuple(schedule_or_subset)
-        services = {pid: effective_path_service(s, set(subset), pid, bounding_overrides)
-                    for pid in subset}
-        assignment, leftovers = _ratio_assignment(s, subset, services)
+
+        def below_rate(fused, key, service):
+            arrival = ctx.arrival(fused)
+            return arrival if arrival.asymptotic_rate < service.asymptotic_rate else None
+
+        assignment, _, leftovers = _pack(ctx, subset, below_rate)
 
     by_path: dict[str, list[SourceModel]] = {}
     for src in s.sources:
@@ -420,20 +404,15 @@ def delivery_ratio(s: Scenario, schedule_or_subset, delay: float, p: float, hori
         if pid is not None:
             by_path.setdefault(pid, []).append(src)
 
+    active = set(subset)
     combined = ZeroBound()
     full_paths = []
     for pid in sorted(by_path):
-        arrival = aggregate_information(by_path[pid], s.spatial)
-        service = services[pid]
-        quantile = None
-        if arrival.asymptotic_rate < service.asymptotic_rate:
-            try:
-                quantile = delay_bound(arrival, service, p).derived_quantile
-            except InfiniteDeviation:
-                quantile = None
-        if quantile is not None and quantile <= delay:
+        key, service = ctx.service(active, pid)
+        if ctx.check(by_path[pid], key, service, p, delay) is not None:
             full_paths.append(pid)
             continue
+        arrival = ctx.arrival(by_path[pid])
         c = service_deficit(arrival, service, delay)
         if c == -INF:
             # the path cannot keep up at all: count its sources as undelivered
@@ -443,12 +422,10 @@ def delivery_ratio(s: Scenario, schedule_or_subset, delay: float, p: float, hori
         combined = bf_convolve(combined, shift_bound(fg, -c))
 
     quantile = 0.0 if combined.is_zero else bf_invert(combined, p)
-    total_curve = aggregate_information(list(s.sources), s.spatial).curve
-    h_total = float(total_curve.value(horizon))
-    h_left = float(aggregate_information(leftovers, s.spatial).curve.value(horizon)) if leftovers else 0.0
+    h_total = float(ctx.arrival(s.sources).curve.value(horizon))
     # source-side cross-path redundancy carries to the sink unchanged,
     # so the aggregate envelope is the right denominator
-    h_left = redundancy_preserved(h_left)
+    h_left = float(ctx.arrival(leftovers).curve.value(horizon))
     if h_total > 0:
         raw = (h_total - h_left - quantile) / h_total
     else:

@@ -215,13 +215,6 @@ def _stable_sum(values):
     return math.fsum(float(v) for v in values)
 
 
-def redundancy_preserved(delta1_redundancy):
-    """Cross-subset redundancy measured at the sink equals its source-side
-    value once both subsets are fully delivered (identity used by the
-    delivery-ratio accounting)."""
-    return delta1_redundancy
-
-
 __all__ = [
     "IsaSpec",
     "LisaSpec",
@@ -237,5 +230,4 @@ __all__ = [
     "service_deficit",
     "impair",
     "parallel",
-    "redundancy_preserved",
 ]

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
 
 from .algorithms import (
@@ -73,9 +75,22 @@ def _overrides(args):
     return PAPER_TABLE1_BOUNDINGS if args.paper_table1 else None
 
 
-def _check_violation(args) -> None:
-    if not 0 < args.violation <= 1:
-        raise InfoCalcError(f"--violation {args.violation:g} must lie in (0, 1]")
+_POSITIVE = (lambda v: 0 < v < math.inf, "must be finite and positive")
+#: option attribute -> (test, requirement) for every ranged numeric option
+_RANGES = {
+    "delay_ms": _POSITIVE, "horizon_ms": _POSITIVE, "step_ms": _POSITIVE, "t_max": _POSITIVE,
+    "violation": (lambda v: 0 < v <= 1, "must lie in (0, 1]"),
+    "calibrate": (lambda v: 0 < v < 100, "must lie in (0, 100)"),
+    "points": (lambda v: v >= 2, "must be at least 2"),
+}
+
+
+def _check_args(args) -> None:
+    """Reject an out-of-range option before any scenario is loaded."""
+    for name, (ok, requirement) in _RANGES.items():
+        value = getattr(args, name, None)
+        if value is not None and not ok(value):
+            raise InfoCalcError(f"--{name.replace('_', '-')} {value:g} {requirement}")
 
 
 def _path_line(result: Schedule, pid: str, bound: str = "") -> str:
@@ -93,8 +108,7 @@ def cmd_ratecal(args) -> int:
     rows, lines = [], []
     lines.append("per-path information service (bits, seconds):")
     for pid in s.path_ids():
-        partners = {other[0] for e in s.impairments
-                    for mine, other in ((e.a, e.b), (e.b, e.a)) if mine[0] == pid}
+        partners = s.partners(pid)
         plain = effective_path_service(s, {pid}, pid)
         lines.append(f"  {pid}: w/o impairment <{fmt_bound(plain.bounding, args.clamp)}, "
                      f"{fmt_curve(plain.curve)}>")
@@ -127,7 +141,6 @@ def _schedule_rows(subset, result):
 
 
 def cmd_bflr(args) -> int:
-    _check_violation(args)
     s = load_scenario(args.scenario)
     delay = args.delay_ms / 1000.0
     if args.all_subsets:
@@ -160,7 +173,6 @@ def cmd_bflr(args) -> int:
 
 
 def cmd_ratio(args) -> int:
-    _check_violation(args)
     s = load_scenario(args.scenario)
     delay = args.delay_ms / 1000.0
     overrides = _overrides(args)
@@ -194,7 +206,6 @@ def cmd_ratio(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _check_violation(args)
     s = load_scenario(args.scenario)
     delay = args.delay_ms / 1000.0
     result = bflr(s, delay, args.violation, prune=args.prune,
@@ -222,8 +233,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    if args.points < 2:
-        raise InfoCalcError(f"--points {args.points} must be at least 2")
     s = load_scenario(args.scenario)
     kind, _, rest = args.what.partition(":")
     if kind == "path":
@@ -329,12 +338,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        _check_args(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except InfoCalcError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader went away (e.g. `| head`); send the unflushed rest to
+        # devnull so the interpreter's final flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -93,6 +93,12 @@ class Scenario:
     def path_ids(self) -> list[str]:
         return [p.id for p in self.paths]
 
+    def partners(self, path_id: str) -> frozenset[str]:
+        """Paths sharing an impairment entry with ``path_id``: the only paths
+        whose presence in a subset changes its effective service."""
+        return frozenset(other[0] for e in self.impairments
+                         for mine, other in ((e.a, e.b), (e.b, e.a)) if mine[0] == path_id)
+
 
 # ---------------------------------------------------------------------------
 # Parsing
@@ -118,6 +124,15 @@ def _num(obj, key: str, where: str, required: bool = True):
     if not -sys.float_info.max <= v <= sys.float_info.max:  # NaN, infinities, huge ints
         raise SchemaError(f"{where}.{key}: expected a finite number")
     return float(v)
+
+
+def _nonneg(obj, key: str, where: str, positive: bool = False, required: bool = True):
+    """A ``_num`` field that must be at least 0 (above 0 with ``positive``)."""
+    v = _num(obj, key, where, required)
+    if v is not None and (v <= 0 if positive else v < 0):
+        raise ValidationError(f"{where}.{key}: must be {'positive' if positive else 'non-negative'}, "
+                              f"got {v:g}")
+    return v
 
 
 def _str(obj, key: str, where: str):
@@ -216,10 +231,10 @@ def parse_scenario(text: str) -> Scenario:
             _expect(bnd, {"a", "b"}, f"{nwhere}.bounding")
             beta = n.get("beta")
             _expect(beta, {"rate_bps", "latency_s"}, f"{nwhere}.beta")
-            nodes.append(Node(nid, _num(bnd, "a", f"{nwhere}.bounding"),
-                              _num(bnd, "b", f"{nwhere}.bounding"),
-                              _num(beta, "rate_bps", f"{nwhere}.beta"),
-                              _num(beta, "latency_s", f"{nwhere}.beta")))
+            nodes.append(Node(nid, _nonneg(bnd, "a", f"{nwhere}.bounding"),
+                              _nonneg(bnd, "b", f"{nwhere}.bounding", positive=True),
+                              _nonneg(beta, "rate_bps", f"{nwhere}.beta"),
+                              _nonneg(beta, "latency_s", f"{nwhere}.beta")))
         paths.append(Path(pid, tuple(nodes)))
     if not paths:
         raise ValidationError("paths: at least one path required")
@@ -246,15 +261,15 @@ def parse_scenario(text: str) -> Scenario:
         _expect(bnd, {"a", "b"}, f"{where}.process.bounding")
         alpha = proc.get("alpha")
         _expect(alpha, {"rate_fraction_of_node", "rate_bps", "latency_s"}, f"{where}.process.alpha")
-        frac = _num(alpha, "rate_fraction_of_node", f"{where}.process.alpha", required=False)
-        rate = _num(alpha, "rate_bps", f"{where}.process.alpha", required=False)
+        frac = _nonneg(alpha, "rate_fraction_of_node", f"{where}.process.alpha", required=False)
+        rate = _nonneg(alpha, "rate_bps", f"{where}.process.alpha", required=False)
         if (frac is None) == (rate is None):
             raise SchemaError(
                 f"{where}.process.alpha: exactly one of 'rate_fraction_of_node' or 'rate_bps' required")
         entry = ImpairmentEntry(tuple(ends[0]), tuple(ends[1]),
-                                _num(bnd, "a", f"{where}.process.bounding"),
-                                _num(bnd, "b", f"{where}.process.bounding"),
-                                frac, rate, _num(alpha, "latency_s", f"{where}.process.alpha"))
+                                _nonneg(bnd, "a", f"{where}.process.bounding"),
+                                _nonneg(bnd, "b", f"{where}.process.bounding", positive=True),
+                                frac, rate, _nonneg(alpha, "latency_s", f"{where}.process.alpha"))
         if entry.a[0] == entry.b[0]:
             raise ValidationError(f"{where}: impairment endpoints must be on distinct paths")
         by_id = {p.id: p for p in paths}

@@ -306,7 +306,7 @@ def simulate(s: Scenario, schedule: Schedule, cfg: TraceConfig,
         fg = bf_convolve(arrival.bounding, service.bounding)
         # grids top out where the bound drops to the resolution of the run count
         p_floor = max(float(wilson_upper(np.zeros(1), cfg.runs)[0]), 1e-6)
-        x_top = bf_invert_safe(fg, p_floor / 2)
+        x_top = bf_invert(fg, p_floor / 2)
 
         # --- delay ---
         delays = _delay_samples(arrival_cum, out_cum, k_eval, cfg)
@@ -359,11 +359,6 @@ def simulate(s: Scenario, schedule: Schedule, cfg: TraceConfig,
             reports.append(TailReport("backlog_within_delay", pid, thr_w, emp, ci, bounds_w,
                                       _points_pass(k, ci, bounds_w, cfg.runs), m))
     return reports
-
-
-def bf_invert_safe(fg, p: float) -> float:
-    """Invert a tail bound at p, treating the deterministic case as 0 excess."""
-    return 0.0 if fg.is_zero else float(bf_invert(fg, p))
 
 
 __all__ = [

@@ -1,8 +1,10 @@
 """RateCal, dominance pruning, BFLR scheduling and the delivery-ratio bound."""
 
 import itertools
+import json
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path as FsPath
 
 import numpy as np
 import pytest
@@ -37,6 +39,7 @@ from infocalc.scenario import (
 from infocalc.sources import SpatialModel, aggregate_information
 
 R = 8000.0
+PINNED_RATIOS = FsPath(__file__).parent / "data" / "ratio_paired_six.json"
 
 
 def three_path_example() -> Scenario:
@@ -247,6 +250,23 @@ class TestDeliveryRatio:
         rr = delivery_ratio(case_study, sched, 0.015, 0.1, horizon=0.05)
         assert 0.0 <= rr.ratio_lower_bound <= 1.0
         assert rr.subset == sched.subset
+
+    @pytest.mark.parametrize("delay,p", [(0.015, 0.10), (0.015, 0.15), (0.020, 0.10),
+                                         (0.020, 0.15)])
+    def test_paired_six_paths_pinned(self, case_study, delay, p):
+        # every subset of six paired paths at the criterion-6 cells, horizon
+        # 0.06 s, bit for bit: unassigned sources and fully delivered paths
+        # both occur, so each branch of the ratio packing is pinned
+        s = paired_six_paths(case_study)
+        pinned = [r for r in json.loads(PINNED_RATIOS.read_text())
+                  if (r["delay"], r["p"]) == (delay, p)]
+        assert len(pinned) == 2 ** len(s.path_ids()) - 1
+        for r in pinned:
+            rr = delivery_ratio(s, tuple(r["subset"].split("+")), delay, p, 0.06)
+            got = (rr.ratio_lower_bound, rr.undelivered_quantile,
+                   "+".join(rr.fully_delivered_paths), " ".join(rr.unassigned_sources))
+            assert got == (r["ratio_lower_bound"], r["undelivered_quantile"],
+                           r["fully_delivered_paths"], r["unassigned_sources"]), r["subset"]
 
     def test_monotone_random_sweep(self):
         rng = np.random.default_rng(5150)

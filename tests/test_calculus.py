@@ -21,7 +21,6 @@ from infocalc.calculus import (
     impair,
     output_bound,
     parallel,
-    redundancy_preserved,
     service_deficit,
     superpose,
 )
@@ -271,12 +270,6 @@ class TestParallel:
         a = parallel(servers)
         b = parallel(servers[::-1])
         assert a.curve == b.curve and a.bounding == b.bounding
-
-
-def test_redundancy_preserved_identity():
-    assert redundancy_preserved(0.0) == 0.0
-    assert redundancy_preserved(0.6 * 233.0) == 0.6 * 233.0
-    assert redundancy_preserved(1.25) == 1.25
 
 
 # ---------------------------------------------------------------------------

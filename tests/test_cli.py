@@ -1,9 +1,14 @@
 """CLI surface: commands, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import infocalc
 from infocalc.cli import main
 from infocalc.scenario import case_study_path
 
@@ -210,6 +215,37 @@ class TestBadArguments:
         assert "--violation" in err
         assert out == ""
 
+    @pytest.mark.parametrize("command,option,value", [
+        ("bflr", "--delay-ms", "nan"),
+        ("bflr", "--delay-ms", "-5"),
+        ("bflr", "--delay-ms", "0"),
+        ("bflr", "--delay-ms", "inf"),
+        ("ratio", "--horizon-ms", "nan"),
+        ("ratio", "--horizon-ms", "-47"),
+        ("ratio", "--calibrate", "150"),
+        ("ratio", "--calibrate", "100"),
+        ("ratio", "--calibrate", "0"),
+        ("ratio", "--calibrate", "nan"),
+        ("simulate", "--step-ms", "nan"),
+        ("simulate", "--step-ms", "0"),
+        ("simulate", "--horizon-ms", "inf"),
+        ("curve", "--t-max", "nan"),
+        ("curve", "--t-max", "-0.5"),
+    ])
+    def test_float_option_out_of_range(self, capsys, scenario_file, command, option, value):
+        valid = {
+            "bflr": ("--delay-ms", "35", "--violation", "0.001"),
+            "ratio": ("--delay-ms", "15", "--violation", "0.15", "--horizon-ms", "47",
+                      "--subset", "L1+L2+L3"),
+            "simulate": ("--delay-ms", "45", "--violation", "0.001", "--runs", "10"),
+            "curve": ("--what", "total"),
+        }[command]
+        # the later occurrence of an option wins
+        code, out, err = run(capsys, command, scenario_file, *valid, option, value)
+        assert_one_error_line(code, err)
+        assert option in err
+        assert out == ""
+
     @pytest.mark.parametrize("points", ["1", "0", "-3"])
     def test_too_few_curve_points(self, capsys, scenario_file, points):
         code, _, err = run(capsys, "curve", scenario_file, "--what", "total",
@@ -236,3 +272,41 @@ class TestBadArguments:
         code, _, err = run(capsys, "bflr", str(bad), "--delay-ms", "35", "--violation", "0.001")
         assert_one_error_line(code, err)
         assert "rate_bps" in err
+
+
+def _subprocess_env():
+    env = dict(os.environ)
+    src = str(Path(infocalc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+class TestSubprocess:
+    def test_closed_stdout_is_not_a_traceback(self, scenario_file):
+        # far more output than a pipe buffers, so writing fails once the reader closes
+        proc = subprocess.Popen([sys.executable, "-m", "infocalc.cli", "curve", scenario_file,
+                                 "--what", "total", "--points", "20000"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=_subprocess_env())
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=120)
+        assert first.startswith(b"total:")
+        assert "Traceback" not in err and "BrokenPipeError" not in err
+        assert code == 1
+
+    def test_case_study_script(self):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "run_case_study.py"
+        proc = subprocess.run([sys.executable, str(script), "--skip-simulation"],
+                              capture_output=True, text=True, env=_subprocess_env(),
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        impaired = {"L1": "<5*exp(-x/5), 6400*t - 48 bits>",
+                    "L2": "<6*exp(-x/6), 6400*t - 108 bits>",
+                    "L3": "<6*exp(-x/6), 5333.33*t - 160 bits>",
+                    "L4": "<7*exp(-x/7), 5333.33*t - 220 bits>"}
+        for pid, row in impaired.items():
+            i = next(k for k, line in enumerate(lines) if line.startswith(f"  {pid}: w/o impairment"))
+            assert lines[i + 1] == f"      w/  impairment {row}"

@@ -1,6 +1,7 @@
 """Scenario schema: parsing, validation, round-trips, effective service."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +32,19 @@ def minimal_doc():
                                           "beta": {"rate_bps": 8000.0, "latency_s": 0.0075}}]}],
         "impairments": [],
     }
+
+
+def case_study_document():
+    with open(case_study_path(), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def set_field(doc, field: str, value) -> None:
+    """Set a dotted/indexed field such as ``paths[0].nodes[0].beta.rate_bps``."""
+    keys = [int(k) if k.isdigit() else k for k in re.findall(r"[^.\[\]]+", field)]
+    for k in keys[:-1]:
+        doc = doc[k]
+    doc[keys[-1]] = value
 
 
 class TestParse:
@@ -136,6 +150,35 @@ class TestParse:
         del doc["spatial"]["g"]["pair"]
         with pytest.raises(ValidationError, match=r"spatial\.g: missing field 'pair'"):
             parse_scenario(json.dumps(doc))
+
+    @pytest.mark.parametrize("field,value", [
+        ("paths[0].nodes[0].beta.rate_bps", -8000.0),
+        ("paths[0].nodes[0].beta.latency_s", -0.0075),
+        ("paths[1].nodes[0].bounding.a", -1.0),
+        ("paths[1].nodes[0].bounding.b", 0.0),
+        ("paths[1].nodes[0].bounding.b", -1.0),
+        ("impairments[0].process.alpha.rate_fraction_of_node", -0.2),
+        ("impairments[0].process.alpha.latency_s", -0.0075),
+        ("impairments[1].process.bounding.a", -3.0),
+        ("impairments[1].process.bounding.b", 0.0),
+    ])
+    def test_out_of_range_field_rejected(self, field, value):
+        doc = case_study_document()
+        set_field(doc, field, value)
+        with pytest.raises(ValidationError, match=re.escape(field)):
+            parse_scenario(json.dumps(doc))
+
+    @pytest.mark.parametrize("field", [
+        "paths[0].nodes[0].beta.rate_bps",
+        "paths[0].nodes[0].beta.latency_s",
+        "paths[1].nodes[0].bounding.a",
+        "impairments[0].process.alpha.rate_fraction_of_node",
+        "impairments[0].process.alpha.latency_s",
+    ])
+    def test_zero_rate_latency_and_coefficient_accepted(self, field):
+        doc = case_study_document()
+        set_field(doc, field, 0.0)
+        parse_scenario(json.dumps(doc))
 
 
 class TestRoundTrip:
