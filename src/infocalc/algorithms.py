@@ -3,12 +3,26 @@
 ``ratecal`` enumerates path subsets, applies interference impairment inside
 each subset, concatenates nodes per path and combines the paths in parallel,
 yielding the list of stochastically achievable service models (optionally
-pruned by the dominance relation).  ``bflr`` (best-fit, largest redundancy)
-greedily packs sources onto the paths of each candidate subset, fusing
-same-group sources to exploit their redundancy and verifying each path with
-the stochastic delay bound.  ``delivery_ratio`` is the relaxation used when
-no schedule meets the delay bound: it lower-bounds the fraction of source
-information delivered within the bound at a given violation probability.
+pruned by the dominance relation).
+
+Pruning does not compare every pair of subsets.  ``dominates(a, b)`` can
+only hold when ``a``'s curve value at 0 and final slope are at least
+``b``'s and ``a``'s bound at 0 is at most ``b``'s plus 1e-12:
+``_curve_strictly_above`` tests the first at its start and the second at
+its end, and ``_bounding_le`` holds for a Zero left side (value 0), compares
+the values at 0 (``a``) in the exponential closed form and tests x = 0 first
+in its sampled fallback (for any positive grid step).  Rounding a Fraction
+or an int to float is monotone, so the three conditions still hold on
+floats.  Pruning therefore filters the candidate dominators of each subset
+with numpy on those three floats and lets ``dominates`` decide only those:
+the kept list, and its order, are those of the all-pairs scan.
+
+``bflr`` (best-fit, largest redundancy) greedily packs sources onto the
+paths of each candidate subset, fusing same-group sources to exploit their
+redundancy and verifying each path with the stochastic delay bound.
+``delivery_ratio`` is the relaxation used when no schedule meets the delay
+bound: it lower-bounds the fraction of source information delivered within
+the bound at a given violation probability.
 
 Both use one greedy packer, ``_pack``, with a different path gate:
 ``schedule_subset`` gates on the stochastic delay bound, ``delivery_ratio``
@@ -41,6 +55,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
+import numpy as np
+
 from .bounding import ExpBound, ZeroBound, bf_convolve, bf_invert, grid_step, shift_bound
 from .calculus import (
     GuaranteeReport,
@@ -51,7 +67,7 @@ from .calculus import (
     service_deficit,
 )
 from .curves import INF, Curve
-from .errors import InfiniteDeviation, SubsetLimitExceeded
+from .errors import InfiniteDeviation, SubsetLimitExceeded, UnreachableRatio
 from .scenario import Scenario, effective_path_service
 from .sources import (
     SourceModel,
@@ -204,10 +220,22 @@ def ratecal(s: Scenario, prune: bool = False,
         for combo in itertools.combinations(ids, k):
             rates.append(AchievableRate(combo, subset_service(s, combo, bounding_overrides,
                                                               ctx=ctx)))
-    if prune:
-        rates = [r for r in rates
-                 if not any(o is not r and dominates(o.service, r.service) for o in rates)]
-    return rates
+    return _undominated(rates) if prune else rates
+
+
+def _undominated(rates: Sequence[AchievableRate]) -> list[AchievableRate]:
+    """The rates no other rate ``dominates``, in their given order; see the
+    module docstring for the candidate filter.  One row at a time keeps
+    memory O(n)."""
+    v0 = np.array([float(r.service.curve.value(0)) for r in rates])
+    slope = np.array([float(r.service.curve.final_slope) for r in rates])
+    b0 = np.array([float(r.service.bounding.value(0)) for r in rates])
+    kept = []
+    for j, r in enumerate(rates):
+        candidates = np.flatnonzero((v0 >= v0[j]) & (slope >= slope[j]) & (b0 <= b0[j] + 1e-12))
+        if not any(i != j and dominates(rates[i].service, r.service) for i in candidates):
+            kept.append(r)
+    return kept
 
 
 def dominates(a: IssSpec, b: IssSpec) -> bool:
@@ -441,18 +469,52 @@ def calibrate_horizon(s: Scenario, subset: Sequence[str], delay: float, p: float
                       target_ratio: float,
                       bounding_overrides: Mapping[str, tuple[float, float]] | None = None,
                       ) -> float:
-    """Horizon t for which the delivery-ratio lower bound equals
-    ``target_ratio`` on the given subset/delay/probability cell."""
+    """First horizon t at which ``delivery_ratio`` on the given
+    subset/delay/probability cell reaches ``target_ratio``.
+
+    The quantile q and the sources left over do not depend on the horizon,
+    and the ratio is ``(H(t) - H_left(t) - q) / H(t)`` for the aggregate
+    information H of all sources and H_left of those left over, so the
+    ratio reaches the target where ``H - H_left/(1 - target)`` first reaches
+    ``q/(1 - target)``.  With sources left over the ratio at t = 0 is 0; if
+    it meets the target just after 0 (then q = 0 and both curves are linear
+    up to their first knee, so the ratio is constant there), the first knee
+    is returned.  Raises ``UnreachableRatio`` when no horizon reaches the
+    target."""
     if not 0 < target_ratio < 1:
         raise ValueError("target ratio must lie in (0, 1)")
     probe = delivery_ratio(s, subset, delay, p, horizon=1.0,
                            bounding_overrides=bounding_overrides)
     needed = probe.undelivered_quantile / (1.0 - target_ratio)
     total_curve = aggregate_information(list(s.sources), s.spatial).curve
-    t = total_curve.first_reach(needed)
+    if probe.unassigned_sources:
+        left = [src for src in s.sources if src.id in probe.unassigned_sources]
+        left_curve = aggregate_information(left, s.spatial).curve.scale(1.0 / (1.0 - target_ratio))
+        t = _first_positive_reach(total_curve, left_curve, needed)
+    else:
+        t = total_curve.first_reach(needed)
     if t == INF:
-        raise ValueError("target ratio unreachable: total information never reaches the required level")
+        raise UnreachableRatio(f"no horizon gives a delivery ratio of {target_ratio:g} on subset "
+                               f"{'+'.join(subset)}, which leaves "
+                               f"{', '.join(probe.unassigned_sources)} unassigned")
     return float(t)
+
+
+def _first_positive_reach(f: Curve, g: Curve, y) -> float:
+    """The first t > 0 with ``f(t) - g(t) >= y``; when that holds from just
+    after 0, so that there is no first such t, the first breakpoint after 0;
+    +inf when never reached."""
+    points = sorted(set(f.breakpoints()) | set(g.breakpoints()))
+    for k, t in enumerate(points):
+        gap = f.value(t) - g.value(t)
+        if t > 0 and gap >= y:
+            return t
+        slope = f._segment_at(t).slope - g._segment_at(t).slope
+        if gap < y and slope > 0:
+            cross = t + (y - gap) / slope
+            if k + 1 == len(points) or cross <= points[k + 1]:
+                return cross
+    return INF
 
 
 __all__ = [

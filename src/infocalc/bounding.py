@@ -20,7 +20,7 @@ import os
 
 import numpy as np
 
-from .errors import UnreachableProbability
+from .errors import ConfigError, UnreachableProbability
 
 #: numeric grid step for sampled fallbacks (information units); the
 #: INFOCALC_GRID_STEP environment variable overrides it.
@@ -30,7 +30,16 @@ GRID_SPAN_FACTOR = 50.0
 
 
 def grid_step() -> float:
-    return float(os.environ.get("INFOCALC_GRID_STEP", DEFAULT_GRID_STEP))
+    """The numeric grid step.  It must be finite and positive: a sampled
+    comparison on a grid of no points would hold for any two bounds."""
+    raw = os.environ.get("INFOCALC_GRID_STEP", DEFAULT_GRID_STEP)
+    try:
+        step = float(raw)
+    except ValueError:
+        step = math.nan
+    if not 0 < step < math.inf:
+        raise ConfigError(f"INFOCALC_GRID_STEP must be a finite positive number, got {raw!r}")
+    return step
 
 
 class BoundingFunction:

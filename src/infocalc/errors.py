@@ -21,6 +21,10 @@ class UnreachableProbability(InfoCalcError):
     """Requested probability can never be reached by the bounding function."""
 
 
+class UnreachableRatio(InfoCalcError):
+    """No horizon gives the requested information delivery ratio."""
+
+
 class DegenerateVariance(InfoCalcError):
     """Gaussian source parameters give a non-positive long-term entropy rate."""
 
@@ -46,4 +50,4 @@ class SubsetLimitExceeded(InfoCalcError):
 
 
 class ConfigError(InfoCalcError):
-    """Invalid simulation configuration."""
+    """Invalid simulation configuration or ``INFOCALC_GRID_STEP``."""

@@ -68,10 +68,13 @@ class ImpairmentEntry:
     rate: float | None
     latency: float
 
+    def rate_for(self, node: Node) -> float:
+        """The rate this process takes from ``node``."""
+        return self.rate if self.rate is not None else self.rate_fraction * node.rate
+
     def process_for(self, node: Node) -> IsaSpec:
-        rate = self.rate if self.rate is not None else self.rate_fraction * node.rate
         return IsaSpec(ExpBound(self.bounding_a, self.bounding_b),
-                       Curve.rate_latency(rate, self.latency))
+                       Curve.rate_latency(self.rate_for(node), self.latency))
 
 
 @dataclass(frozen=True)
@@ -245,6 +248,10 @@ def parse_scenario(text: str) -> Scenario:
         raise ValidationError("paths must be node-disjoint: duplicate node id across paths")
 
     impairments: list[ImpairmentEntry] = []
+    by_id = {p.id: p for p in paths}
+    # (path id, node index) -> node rate left after the impairments so far,
+    # subtracted in the order effective_path_service subtracts them
+    left: dict[tuple[str, int], float] = {}
     for i, e in enumerate(doc.get("impairments", [])):
         where = f"impairments[{i}]"
         _expect(e, {"a", "b", "process"}, where)
@@ -262,6 +269,9 @@ def parse_scenario(text: str) -> Scenario:
         alpha = proc.get("alpha")
         _expect(alpha, {"rate_fraction_of_node", "rate_bps", "latency_s"}, f"{where}.process.alpha")
         frac = _nonneg(alpha, "rate_fraction_of_node", f"{where}.process.alpha", required=False)
+        if frac is not None and frac > 1:
+            raise ValidationError(f"{where}.process.alpha.rate_fraction_of_node: must be at most 1, "
+                                  f"got {frac:g}")
         rate = _nonneg(alpha, "rate_bps", f"{where}.process.alpha", required=False)
         if (frac is None) == (rate is None):
             raise SchemaError(
@@ -272,12 +282,17 @@ def parse_scenario(text: str) -> Scenario:
                                 frac, rate, _nonneg(alpha, "latency_s", f"{where}.process.alpha"))
         if entry.a[0] == entry.b[0]:
             raise ValidationError(f"{where}: impairment endpoints must be on distinct paths")
-        by_id = {p.id: p for p in paths}
         for pid, idx in (entry.a, entry.b):
             if pid not in by_id:
                 raise ValidationError(f"{where}: unknown path '{pid}'")
             if not 0 <= idx < len(by_id[pid].nodes):
                 raise ValidationError(f"{where}: node index {idx} out of range for path {pid}")
+            node = by_id[pid].nodes[idx]
+            left[pid, idx] = left.get((pid, idx), node.rate) - entry.rate_for(node)
+            if left[pid, idx] < 0:
+                key = "rate_fraction_of_node" if frac is not None else "rate_bps"
+                raise ValidationError(f"{where}.process.alpha.{key}: impairments take more than "
+                                      f"the {node.rate:g} bit/s of node {node.id}")
         impairments.append(entry)
 
     return Scenario(tuple(sources), spatial, tuple(paths), tuple(impairments),

@@ -2,8 +2,10 @@
 
 import itertools
 import json
+import random
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -25,10 +27,10 @@ from infocalc.algorithms import (
     schedule_subset,
     subset_service,
 )
-from infocalc.bounding import ExpBound, ZeroBound
+from infocalc.bounding import ExpBound, GridBound, ZeroBound
 from infocalc.calculus import IssSpec, delay_bound
 from infocalc.curves import Curve
-from infocalc.errors import SubsetLimitExceeded
+from infocalc.errors import SubsetLimitExceeded, UnreachableRatio
 from infocalc.scenario import (
     PAPER_TABLE1_BOUNDINGS,
     Node,
@@ -223,6 +225,16 @@ class TestDeliveryRatio:
         assert rr.ratio_lower_bound == pytest.approx(0.564, abs=1e-9)
         assert rr.fully_delivered_paths == ("L1",)
 
+    def test_calibration_counts_unassigned_sources(self, case_study):
+        horizon = calibrate_horizon(case_study, ("L1", "L2"), 0.015, 0.15, 0.3)
+        rr = delivery_ratio(case_study, ("L1", "L2"), 0.015, 0.15, horizon)
+        assert rr.unassigned_sources
+        assert rr.ratio_lower_bound == pytest.approx(0.3, abs=1e-9)
+
+    def test_unreachable_calibration_target(self, case_study):
+        with pytest.raises(UnreachableRatio, match="L1"):
+            calibrate_horizon(case_study, ("L1",), 0.015, 0.15, 0.9999)
+
     def test_vacuous_delivery_clamps_to_zero(self, case_study):
         rr = delivery_ratio(case_study, ("L1", "L2", "L3"), 0.015, 0.1, horizon=1e-3)
         assert rr.ratio_lower_bound == 0.0
@@ -299,15 +311,18 @@ def paired_six_paths(case_study) -> Scenario:
     return Scenario(case_study.sources, case_study.spatial, paths, impairments)
 
 
+def reference_prune(rates):
+    """The all-pairs dominance scan."""
+    return [r for r in rates
+            if not any(o is not r and dominates(o.service, r.service) for o in rates)]
+
+
 def reference_ratecal(s, prune, overrides):
     """``ratecal`` with every subset's service computed without a shared context."""
     ids = s.path_ids()
     rates = [AchievableRate(combo, subset_service(s, combo, overrides))
              for k in range(1, len(ids) + 1) for combo in itertools.combinations(ids, k)]
-    if prune:
-        rates = [r for r in rates
-                 if not any(o is not r and dominates(o.service, r.service) for o in rates)]
-    return rates
+    return reference_prune(rates) if prune else rates
 
 
 def reference_feasible_rates(s, prune, overrides):
@@ -372,3 +387,63 @@ class TestAnalysisContext:
         assert set(calls) == {(pid, frozenset(ps)) for pid, mates in partners.items()
                               for ps in (set(), mates)}
         assert set(calls.values()) == {1}
+
+
+# ---------------------------------------------------------------------------
+# Pruning: the candidate filter changes no answer
+# ---------------------------------------------------------------------------
+
+
+def mixed_family_rates() -> list[AchievableRate]:
+    """Every curve and bound family ``dominates`` handles: affine and
+    two-segment curves with float and Fraction coefficients; Zero, Exp (with
+    a = 0, with an offset x0, Fraction) and Grid bounds, one of them within
+    the sampled fallback's 1e-12 tolerance of ``ExpBound(1, 1)`` at 0."""
+    curves = [
+        Curve.affine(R, -60.0),
+        Curve.affine(Fraction(8000), Fraction(-60)),
+        Curve.affine(2 * R, -60.0),
+        Curve.affine(R, 0.0),
+        Curve([(0, 2000.0, -10.0), (0.01, R, 10.0)]),
+        Curve([(0, Fraction(4000), Fraction(-30)), (Fraction(1, 100), Fraction(16000), Fraction(10))]),
+    ]
+    bounds = [
+        ZeroBound(), ExpBound(0.0, 2.0), ExpBound(1.0, 1.0), ExpBound(Fraction(1), Fraction(1)),
+        ExpBound(Fraction(1, 2), Fraction(3)), ExpBound(1.0, 1.0, 2.0),
+        GridBound([0.0, 10.0], [0.5, 0.1]), GridBound([0.0, 1e-3, 1.0], [1.0 + 5e-13, 0.0, 0.0]),
+        GridBound([0.0, 2.0, 8.0], [2.0, 0.3, 0.0]),
+    ]
+    return [AchievableRate((f"C{i}", f"B{j}"), IssSpec(b, c))
+            for i, c in enumerate(curves) for j, b in enumerate(bounds)]
+
+
+class TestPrune:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_mixed_families_match_pairwise_scan(self, seed):
+        # the whole list, then small samples, in which a dominated rate often
+        # has a single dominator, so one wrongly filtered candidate shows
+        rng = random.Random(seed)
+        rates = mixed_family_rates()
+        rng.shuffle(rates)
+        kept = algorithms._undominated(rates)
+        assert kept == reference_prune(rates)
+        assert 0 < len(kept) < len(rates)
+        for _ in range(40):
+            sample = rng.sample(rates, 8)
+            assert algorithms._undominated(sample) == reference_prune(sample)
+
+    def test_far_fewer_dominance_tests_than_pairs(self, case_study, monkeypatch):
+        s = paired_six_paths(case_study)
+        calls = 0
+        original = algorithms.dominates
+
+        def counted(a, b):
+            nonlocal calls
+            calls += 1
+            return original(a, b)
+
+        monkeypatch.setattr(algorithms, "dominates", counted)
+        kept = ratecal(s, prune=True)
+        # 58 calls measured for 63 subsets; the all-pairs scan makes 2,005
+        assert calls <= 200
+        assert kept == reference_prune(ratecal(s))

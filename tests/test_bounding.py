@@ -167,6 +167,16 @@ def test_grid_step_env_override(monkeypatch):
     assert grid_step() == 0.5
 
 
+@pytest.mark.parametrize("value", ["-0.1", "0", "nan", "inf", "fine"])
+def test_grid_step_must_be_finite_and_positive(monkeypatch, value):
+    from infocalc.bounding import grid_step
+    from infocalc.errors import ConfigError
+
+    monkeypatch.setenv("INFOCALC_GRID_STEP", value)
+    with pytest.raises(ConfigError, match="INFOCALC_GRID_STEP"):
+        grid_step()
+
+
 class TestValidation:
     def test_grid_must_decrease(self):
         with pytest.raises(ValueError):

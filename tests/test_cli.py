@@ -1,12 +1,17 @@
 """CLI surface: commands, formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import infocalc
 from infocalc.cli import main
@@ -120,6 +125,21 @@ class TestRatio:
         assert "calibrated horizon" in err
         rows = json.loads(out)
         assert rows[0]["ratio_lower_bound"] == pytest.approx(0.597, abs=1e-6)
+
+    def test_calibration_with_unassigned_sources(self, capsys, scenario_file):
+        code, out, _ = run(capsys, "ratio", scenario_file, "--delay-ms", "15",
+                           "--violation", "0.15", "--calibrate", "30",
+                           "--subset", "L1+L2", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)
+        assert rows[0]["ratio_lower_bound"] == pytest.approx(0.30, abs=1e-6)
+
+    def test_unreachable_calibration_exit_code(self, capsys, scenario_file):
+        code, out, err = run(capsys, "ratio", scenario_file, "--delay-ms", "15",
+                             "--violation", "0.15", "--calibrate", "99.99", "--subset", "L1")
+        assert_one_error_line(code, err)
+        assert "UnreachableRatio" in err
+        assert out == ""
 
 
 class TestSimulate:
@@ -272,6 +292,48 @@ class TestBadArguments:
         code, _, err = run(capsys, "bflr", str(bad), "--delay-ms", "35", "--violation", "0.001")
         assert_one_error_line(code, err)
         assert "rate_bps" in err
+
+
+#: numeric node, impairment and source fields of the bundled case study
+FUZZ_FIELDS = [
+    ("paths", 0, "nodes", 0, "beta", "rate_bps"),
+    ("paths", 3, "nodes", 1, "beta", "rate_bps"),
+    ("paths", 1, "nodes", 1, "beta", "latency_s"),
+    ("paths", 2, "nodes", 0, "bounding", "a"),
+    ("paths", 3, "nodes", 2, "bounding", "b"),
+    ("impairments", 0, "process", "alpha", "rate_fraction_of_node"),
+    ("impairments", 1, "process", "alpha", "latency_s"),
+    ("impairments", 0, "process", "bounding", "a"),
+    ("impairments", 1, "process", "bounding", "b"),
+    ("sources", 0, "target_rate_bps"),
+    ("sources", 4, "eta"),
+    ("sources", 8, "delta_s"),
+]
+#: zero, negative, above the 8000 bit/s node rate (or a fraction above 1), huge
+FUZZ_VALUES = st.sampled_from([0.0, -1.0, -8000.0, 5e-324, 1.5, 9000.0, 1e9, 1e300]) | st.floats()
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(mutations=st.lists(st.tuples(st.sampled_from(FUZZ_FIELDS), FUZZ_VALUES),
+                          min_size=1, max_size=3))
+def test_mutated_case_study_fails_cleanly(tmp_path_factory, mutations):
+    doc = json.loads(Path(case_study_path()).read_text(encoding="utf-8"))
+    for field, value in mutations:
+        obj = doc
+        for key in field[:-1]:
+            obj = obj[key]
+        obj[field[-1]] = value
+    path = tmp_path_factory.mktemp("fuzz") / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (["ratecal", str(path), "--prune"],
+                 ["bflr", str(path), "--delay-ms", "35", "--violation", "0.001"]):
+        out, err = io.StringIO(), io.StringIO()
+        # an exception escaping main fails the test with its traceback
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), (argv[0], mutations)
+        assert "Traceback" not in err.getvalue()
+        assert not re.search(r"\bnan\b", out.getvalue(), re.IGNORECASE), (argv[0], mutations)
 
 
 def _subprocess_env():

@@ -161,9 +161,13 @@ class TestParse:
         ("impairments[0].process.alpha.latency_s", -0.0075),
         ("impairments[1].process.bounding.a", -3.0),
         ("impairments[1].process.bounding.b", 0.0),
+        ("impairments[0].process.alpha.rate_fraction_of_node", 1.5),
+        ("impairments[0].process.alpha.rate_bps", 1e9),
     ])
     def test_out_of_range_field_rejected(self, field, value):
         doc = case_study_document()
+        if field.endswith("alpha.rate_bps"):  # an impairment gives its rate in one form only
+            doc["impairments"][0]["process"]["alpha"].pop("rate_fraction_of_node")
         set_field(doc, field, value)
         with pytest.raises(ValidationError, match=re.escape(field)):
             parse_scenario(json.dumps(doc))
@@ -179,6 +183,30 @@ class TestParse:
         doc = case_study_document()
         set_field(doc, field, 0.0)
         parse_scenario(json.dumps(doc))
+
+
+    def test_impairments_summing_above_node_rate_rejected(self):
+        # each takes at most the node's rate, but together L1.0 loses 1.2 of it
+        doc = case_study_document()
+        extra = json.loads(json.dumps(doc["impairments"][0]))
+        extra["b"] = ["L3", 0]
+        extra["process"]["alpha"]["rate_fraction_of_node"] = 1.0
+        doc["impairments"].append(extra)
+        with pytest.raises(ValidationError,
+                           match=re.escape("impairments[2].process.alpha.rate_fraction_of_node")):
+            parse_scenario(json.dumps(doc))
+
+    @pytest.mark.parametrize("field,value", [
+        ("impairments[0].process.alpha.rate_fraction_of_node", 1.0),
+        ("impairments[0].process.alpha.rate_bps", R),
+    ])
+    def test_impairment_taking_the_whole_node_accepted(self, field, value):
+        doc = case_study_document()
+        doc["impairments"][0]["process"]["alpha"].pop("rate_fraction_of_node")
+        set_field(doc, field, value)
+        s = parse_scenario(json.dumps(doc))
+        impaired = effective_path_service(s, {"L1", "L2"}, "L1")
+        assert impaired.curve.final_slope == 0.0
 
 
 class TestRoundTrip:
