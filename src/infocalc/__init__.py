@@ -42,6 +42,7 @@ from .sources import (
     SourceModel,
     SpatialModel,
     aggregate_information,
+    aggregate_rate,
     calibrate_sigma2,
     entropy_of_gaussian_block,
     gaussian_arrival_curve,
@@ -56,6 +57,7 @@ from .algorithms import (
     bflr_table,
     calibrate_horizon,
     delivery_ratio,
+    delivery_ratio_table,
     dominates,
     ratecal,
     schedule_subset,

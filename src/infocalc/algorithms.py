@@ -28,30 +28,48 @@ Both use one greedy packer, ``_pack``, with a different path gate:
 ``schedule_subset`` gates on the stochastic delay bound, ``delivery_ratio``
 on the fused arrival rate staying below the path's service rate.
 
+The packer asks only for rates: the marginal redundancy rate of a
+candidate, and whether a fused set's rate lies below a path's service rate.
+Both are scalars (``sources.aggregate_rate``, a per-group coefficient times
+a single-source rate, summed in the order the curve algebra sums final
+slopes), so an arrival curve is built only where a delay bound or a
+service deficit is computed.  The scalar equals the curve's final slope
+bit for bit, except where the curve sum drops a last knee that changes
+the slope by less than ``curves.MERGE_TOL`` of it (see
+``sources._aggregate_rate``).
+
 Most of that work repeats across subsets, so every public call (``ratecal``,
-``feasible_rates``, ``bflr``, ``bflr_table``, ``delivery_ratio``) builds one
-``_Context`` for its (scenario, ``bounding_overrides``) pair and passes it
-down.  The context memoizes, in plain dicts:
+``feasible_rates``, ``bflr``, ``bflr_table``, ``delivery_ratio``,
+``delivery_ratio_table``, ``calibrate_horizon``) builds one ``_Context`` for
+its (scenario, ``bounding_overrides``) pair and passes it down.
+``delivery_ratio_table`` answers all its subsets on one context.  The
+context memoizes, in plain dicts:
 
 * path services, keyed by ``(path id, frozenset(active partners))``, where
   the partners of a path are the paths sharing an impairment entry with it;
   nothing else about the subset changes a path's service;
 * each source's Gaussian rate and the rate-sorted source order;
 * ``aggregate_information`` results, keyed by the set of source ids;
-* ``marginal_redundancy_rate`` results, keyed by ``(candidate id, chosen
-  ids)``, with the chosen ids in list order because the redundancy sums
-  floats in that order;
+* fused rates (``aggregate_rate``), keyed by the set of source ids;
+* redundancy rates (``subset_redundancy_rate``), keyed by the source ids in
+  list order, because the redundancy sums floats in that order; a marginal
+  redundancy rate is the difference of two of them, as in
+  ``marginal_redundancy_rate``;
 * path checks, keyed by the fused source ids, the path's service key, the
   delay and the violation probability.
 
-A context is never shared across calls and dies with the call that built
-it, so every answer is the one computed without it, bit for bit and in the
-same order.  The functions that take a ``ctx`` build one when given none.
+Each memo key holds everything its value depends on besides the scenario
+and overrides, so sharing a context between queries changes no answer:
+every answer is the one computed without it, bit for bit and in the same
+order.  A context dies with the public call that built it.  The functions that
+take a ``ctx`` (``subset_service``, ``ratecal``, ``schedule_subset``,
+``feasible_rates``, ``delivery_ratio``) build one when given none.  A subset that names a path twice is a ``ValidationError``.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -67,13 +85,14 @@ from .calculus import (
     service_deficit,
 )
 from .curves import INF, Curve
-from .errors import InfiniteDeviation, SubsetLimitExceeded, UnreachableRatio
+from .errors import InfiniteDeviation, SubsetLimitExceeded, UnreachableRatio, ValidationError
 from .scenario import Scenario, effective_path_service
 from .sources import (
     SourceModel,
+    _aggregate_rate,
+    _subset_redundancy_rate,
     aggregate_information,
     gaussian_arrival_curve,
-    marginal_redundancy_rate,
 )
 
 SUBSET_LIMIT = 24
@@ -134,10 +153,12 @@ class _Context:
         self.s = s
         self.overrides = bounding_overrides
         self.partners = {pid: s.partners(pid) for pid in s.path_ids()}
+        self.sources = {src.id: src for src in s.sources}
         self._services: dict[tuple, IssSpec] = {}
         self._rates: dict[str, float] = {}
         self._order: tuple[SourceModel, ...] | None = None
         self._arrivals: dict[frozenset, IsaSpec] = {}
+        self._fused: dict[frozenset, float] = {}
         self._redundancy: dict[tuple, float] = {}
         self._checks: dict[tuple, GuaranteeReport | None] = {}
 
@@ -169,27 +190,53 @@ class _Context:
             spec = self._arrivals[key] = aggregate_information(list(sources), self.s.spatial)
         return spec
 
+    def fused_rate(self, sources: Sequence[SourceModel]) -> float:
+        """Asymptotic rate of ``arrival(sources)``, without building it."""
+        key = frozenset(src.id for src in sources)
+        rate = self._fused.get(key)
+        if rate is None:
+            rate = self._fused[key] = _aggregate_rate(sources, self.s.spatial, self.rate)
+        return rate
+
+    def redundancy(self, ids: tuple[str, ...]) -> float:
+        """``subset_redundancy_rate`` of the sources with these ids, keyed by
+        the ids in list order, because it sums the single rates in that
+        order."""
+        red = self._redundancy.get(ids)
+        if red is None:
+            red = self._redundancy[ids] = _subset_redundancy_rate(
+                [self.sources[sid] for sid in ids], self.s.spatial, self.rate)
+        return red
+
     def next_by_redundancy(self, remaining: list[SourceModel],
                            chosen: list[SourceModel]) -> SourceModel:
-        """The remaining source of largest marginal redundancy with ``chosen``."""
-        chosen_ids = tuple(src.id for src in chosen)
-
-        def redundancy(src):
-            key = (src.id, chosen_ids)
-            red = self._redundancy.get(key)
-            if red is None:
-                red = self._redundancy[key] = marginal_redundancy_rate(src, chosen,
-                                                                       self.s.spatial)
-            return red
-
-        return min(remaining, key=lambda src: (-redundancy(src), -self.rate(src), src.id))
+        """The remaining source of largest marginal redundancy with ``chosen``
+        (``marginal_redundancy_rate``, from memoized redundancy rates)."""
+        ids = tuple(src.id for src in chosen)
+        base = self.redundancy(ids)
+        return min(remaining, key=lambda src: (-(self.redundancy(ids + (src.id,)) - base),
+                                               -self.rate(src), src.id))
 
     def check(self, fused: list[SourceModel], service_key: tuple, service: IssSpec,
               p: float, delay: float) -> GuaranteeReport | None:
+        """Stochastic delay-bound certificate of one path for one fused set,
+        or None; a fused rate not below the service rate fails before any
+        curve is built."""
         key = (frozenset(src.id for src in fused), service_key, delay, p)
         if key not in self._checks:
-            self._checks[key] = _path_check(self.arrival(fused), service, p, delay)
+            self._checks[key] = (_path_check(self.arrival(fused), service, p, delay)
+                                 if self.fused_rate(fused) < service.asymptotic_rate else None)
         return self._checks[key]
+
+
+def _active(subset: Sequence[str]) -> set[str]:
+    """The paths of ``subset``; a path listed twice would count twice."""
+    active = set(subset)
+    if len(active) != len(subset):
+        repeated = sorted(pid for pid, n in Counter(subset).items() if n > 1)
+        raise ValidationError(f"path id(s) {', '.join(repeated)} repeated in subset "
+                              f"{'+'.join(subset)}")
+    return active
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +249,7 @@ def subset_service(s: Scenario, subset: Sequence[str],
                    *, ctx: _Context | None = None) -> IssSpec:
     """Parallel composition of the subset's impaired end-to-end paths."""
     ctx = ctx or _Context(s, bounding_overrides)
-    active = set(subset)
+    active = _active(subset)
     return parallel([ctx.service(active, pid)[1] for pid in subset])
 
 
@@ -288,9 +335,8 @@ def _path_order(s: Scenario, subset: Sequence[str]) -> list[str]:
 
 
 def _path_check(arrival, service, p: float, delay: float) -> GuaranteeReport | None:
-    """Stochastic delay-bound feasibility of one path for one fused arrival set."""
-    if arrival.asymptotic_rate >= service.asymptotic_rate:
-        return None
+    """Stochastic delay-bound certificate of one path for one fused arrival
+    set whose rate is below the service rate."""
     try:
         report = delay_bound(arrival, service, p)
     except InfiniteDeviation:
@@ -308,7 +354,7 @@ def _pack(ctx: _Context, subset: Sequence[str],
     ``fits(fused, service_key, service)`` is not None.  Returns the
     assignment, the last passing ``fits`` value per used path and the
     sources left over."""
-    active = set(subset)
+    active = _active(subset)
     remaining = list(ctx.order())
     assignment: dict[str, str] = {}
     gates: dict[str, object] = {}
@@ -400,7 +446,7 @@ def bflr_table(s: Scenario, delay: float, p: float, prune: bool = False,
 
 def delivery_ratio(s: Scenario, schedule_or_subset, delay: float, p: float, horizon: float,
                    bounding_overrides: Mapping[str, tuple[float, float]] | None = None,
-                   ) -> RatioResult:
+                   *, ctx: _Context | None = None) -> RatioResult:
     """Lower bound on the fraction of source information delivered within
     ``delay`` seconds, violated with probability at most ``p``.
 
@@ -412,19 +458,16 @@ def delivery_ratio(s: Scenario, schedule_or_subset, delay: float, p: float, hori
     """
     if not 0 < p <= 1:
         raise ValueError("violation probability must lie in (0, 1]")
-    ctx = _Context(s, bounding_overrides)
+    ctx = ctx or _Context(s, bounding_overrides)
     if isinstance(schedule_or_subset, Schedule):
         subset = schedule_or_subset.subset
         assignment = dict(schedule_or_subset.assignment)
         leftovers = [src for src in s.sources if src.id not in assignment]
     else:
         subset = tuple(schedule_or_subset)
-
-        def below_rate(fused, key, service):
-            arrival = ctx.arrival(fused)
-            return arrival if arrival.asymptotic_rate < service.asymptotic_rate else None
-
-        assignment, _, leftovers = _pack(ctx, subset, below_rate)
+        assignment, _, leftovers = _pack(
+            ctx, subset,
+            lambda fused, key, service: ctx.fused_rate(fused) < service.asymptotic_rate or None)
 
     by_path: dict[str, list[SourceModel]] = {}
     for src in s.sources:
@@ -432,7 +475,7 @@ def delivery_ratio(s: Scenario, schedule_or_subset, delay: float, p: float, hori
         if pid is not None:
             by_path.setdefault(pid, []).append(src)
 
-    active = set(subset)
+    active = _active(subset)
     combined = ZeroBound()
     full_paths = []
     for pid in sorted(by_path):
@@ -465,6 +508,16 @@ def delivery_ratio(s: Scenario, schedule_or_subset, delay: float, p: float, hori
                        unassigned_sources=tuple(sorted(src.id for src in leftovers)))
 
 
+def delivery_ratio_table(s: Scenario, subsets, delay: float, p: float, horizon: float,
+                         bounding_overrides: Mapping[str, tuple[float, float]] | None = None,
+                         ) -> list[RatioResult]:
+    """``delivery_ratio`` of every subset (or ``Schedule``) in ``subsets``, in
+    order, on one analysis context."""
+    ctx = _Context(s, bounding_overrides)
+    return [delivery_ratio(s, subset, delay, p, horizon, bounding_overrides, ctx=ctx)
+            for subset in subsets]
+
+
 def calibrate_horizon(s: Scenario, subset: Sequence[str], delay: float, p: float,
                       target_ratio: float,
                       bounding_overrides: Mapping[str, tuple[float, float]] | None = None,
@@ -483,13 +536,13 @@ def calibrate_horizon(s: Scenario, subset: Sequence[str], delay: float, p: float
     target."""
     if not 0 < target_ratio < 1:
         raise ValueError("target ratio must lie in (0, 1)")
-    probe = delivery_ratio(s, subset, delay, p, horizon=1.0,
-                           bounding_overrides=bounding_overrides)
+    ctx = _Context(s, bounding_overrides)
+    probe = delivery_ratio(s, subset, delay, p, horizon=1.0, ctx=ctx)
     needed = probe.undelivered_quantile / (1.0 - target_ratio)
-    total_curve = aggregate_information(list(s.sources), s.spatial).curve
+    total_curve = ctx.arrival(s.sources).curve
     if probe.unassigned_sources:
         left = [src for src in s.sources if src.id in probe.unassigned_sources]
-        left_curve = aggregate_information(left, s.spatial).curve.scale(1.0 / (1.0 - target_ratio))
+        left_curve = ctx.arrival(left).curve.scale(1.0 / (1.0 - target_ratio))
         t = _first_positive_reach(total_curve, left_curve, needed)
     else:
         t = total_curve.first_reach(needed)
@@ -530,6 +583,7 @@ __all__ = [
     "bflr_table",
     "feasible_rates",
     "delivery_ratio",
+    "delivery_ratio_table",
     "calibrate_horizon",
     "SUBSET_LIMIT",
 ]

@@ -25,7 +25,7 @@ from .algorithms import (
     bflr,
     bflr_table,
     calibrate_horizon,
-    delivery_ratio,
+    delivery_ratio_table,
     feasible_rates,
     ratecal,
 )
@@ -179,6 +179,9 @@ def cmd_ratio(args) -> int:
     subsets = ([tuple(x.split("+")) for x in args.subset]
                if args.subset else [r.subset for r in feasible_rates(s, bounding_overrides=overrides)])
     if args.calibrate is not None:
+        if not subsets:
+            raise InfoCalcError("--calibrate needs a subset: no path subset reaches the sources' "
+                                "total rate, so name one with --subset")
         horizon = calibrate_horizon(s, subsets[0], delay, args.violation,
                                     args.calibrate / 100.0, bounding_overrides=overrides)
         print(f"calibrated horizon: {horizon*1000:.4f} ms "
@@ -189,17 +192,16 @@ def cmd_ratio(args) -> int:
         horizon = args.horizon_ms / 1000.0
     rows, lines = [], [f"delivery ratio within {args.delay_ms} ms at violation "
                        f"{args.violation}, horizon {horizon*1000:.4f} ms"]
-    for subset in subsets:
-        rr = delivery_ratio(s, subset, delay, args.violation, horizon,
-                            bounding_overrides=overrides)
-        rows.append({"subset": "+".join(subset),
+    for rr in delivery_ratio_table(s, subsets, delay, args.violation, horizon,
+                                   bounding_overrides=overrides):
+        rows.append({"subset": "+".join(rr.subset),
                      "ratio_lower_bound": rr.ratio_lower_bound,
                      "undelivered_quantile_bits": rr.undelivered_quantile,
                      "clamped": rr.clamped,
                      "fully_delivered_paths": "+".join(rr.fully_delivered_paths),
                      "horizon_s": rr.horizon})
         note = " (clamped to 0)" if rr.clamped else ""
-        lines.append(f"  {'+'.join(subset):16s} {rr.ratio_lower_bound*100:6.1f}%{note}"
+        lines.append(f"  {'+'.join(rr.subset):16s} {rr.ratio_lower_bound*100:6.1f}%{note}"
                      f"  [undelivered quantile {rr.undelivered_quantile:.1f} bits]")
     _emit(args, rows, lines)
     return 0
@@ -272,9 +274,18 @@ def cmd_curve(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error (unknown option, unparsable value, missing argument) is
+    a bad argument like any other: one ``error:`` line and exit 1, so it is
+    never mistaken for exit 2, infeasible.  Subparsers inherit the class."""
+
+    def error(self, message):
+        raise InfoCalcError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="infocalc", description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap = _Parser(prog="infocalc", description=__doc__,
+                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, scheduling=False, sim=False):
@@ -336,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_args(args)
         code = args.func(args)
         sys.stdout.flush()

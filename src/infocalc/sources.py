@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import partial
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -144,6 +145,19 @@ def _require_symmetric(sources: Sequence[SourceModel]) -> SourceModel:
     return first
 
 
+def _single_rate(src: SourceModel, base: float = 2.0) -> float:
+    """Asymptotic rate of one source: the final slope of its arrival curve
+    (so a curve whose two segments merged reads the merged slope)."""
+    return gaussian_arrival_curve(src, base=base).curve.final_slope
+
+
+def _by_group(sources: Sequence[SourceModel]) -> dict[str, list[SourceModel]]:
+    by_group: dict[str, list[SourceModel]] = {}
+    for s in sources:
+        by_group.setdefault(s.group_id, []).append(s)
+    return by_group
+
+
 def group_information(sources: Sequence[SourceModel], spatial: SpatialModel,
                       base: float = 2.0) -> IsaSpec:
     """Combined arrival model of same-group sources: the single-source curve
@@ -162,9 +176,7 @@ def aggregate_information(sources: Sequence[SourceModel], spatial: SpatialModel,
     independent addition across groups."""
     if not sources:
         return IsaSpec(ZeroBound(), Curve.zero())
-    by_group: dict[str, list[SourceModel]] = {}
-    for s in sources:
-        by_group.setdefault(s.group_id, []).append(s)
+    by_group = _by_group(sources)
     curve = None
     for group in sorted(by_group):
         part = group_information(by_group[group], spatial, base=base).curve
@@ -172,14 +184,52 @@ def aggregate_information(sources: Sequence[SourceModel], spatial: SpatialModel,
     return IsaSpec(ZeroBound(), curve)
 
 
+def _aggregate_rate(sources: Sequence[SourceModel], spatial: SpatialModel,
+                    rate: Callable[[SourceModel], float]) -> float:
+    """Asymptotic rate of :func:`aggregate_information` without its curve,
+    from the single-source rate ``rate``.
+
+    Asymptotic rates add (Le Boudec & Thiran, *Network Calculus*, 2001), so
+    the final slope is, per group in sorted order, the group's coefficient
+    times the single-source rate, summed left to right: the products and
+    sums ``Curve.scale`` and ``Curve.__add__`` form on the final segments,
+    in their order.  The fold checks each group and looks up its
+    coefficient as :func:`group_information` does, so it raises where that
+    does.  It differs from the curve's final slope only where the curve
+    sum's merge of collinear segments (``curves.MERGE_TOL``, 1e-12
+    relative) drops the last knee, one that changes the total slope by
+    less than 1e-12 of it: the fold then returns the sum of the groups'
+    final slopes, the curve the slope before that knee."""
+    by_group = _by_group(sources)
+    total = 0.0
+    for group in sorted(by_group):
+        first = _require_symmetric(by_group[group])
+        single = rate(first)
+        total += spatial.coefficient(first.group_id, len(by_group[group])) * single
+    return total
+
+
+def _subset_redundancy_rate(sources: Sequence[SourceModel], spatial: SpatialModel,
+                            rate: Callable[[SourceModel], float]) -> float:
+    """:func:`subset_redundancy_rate` from the single-source rate ``rate``."""
+    if not sources:
+        return 0.0
+    total_single = sum(rate(s) for s in sources)
+    return float(total_single - _aggregate_rate(sources, spatial, rate))
+
+
+def aggregate_rate(sources: Sequence[SourceModel], spatial: SpatialModel,
+                   base: float = 2.0) -> float:
+    """Asymptotic rate of :func:`aggregate_information`, summed as scalars
+    (see :func:`_aggregate_rate`)."""
+    return _aggregate_rate(sources, spatial, partial(_single_rate, base=base))
+
+
 def subset_redundancy_rate(sources: Sequence[SourceModel], spatial: SpatialModel,
                            base: float = 2.0) -> float:
     """Asymptotic rate of the redundant information of a source set:
     ``sum_i H(A_i) - H(sum_i A_i)`` per unit time."""
-    if not sources:
-        return 0.0
-    total_single = sum(gaussian_arrival_curve(s, base=base).curve.final_slope for s in sources)
-    return float(total_single - aggregate_information(sources, spatial, base=base).curve.final_slope)
+    return _subset_redundancy_rate(sources, spatial, partial(_single_rate, base=base))
 
 
 def marginal_redundancy_rate(candidate: SourceModel, chosen: Sequence[SourceModel],
@@ -199,6 +249,7 @@ __all__ = [
     "calibrate_sigma2",
     "group_information",
     "aggregate_information",
+    "aggregate_rate",
     "subset_redundancy_rate",
     "marginal_redundancy_rate",
 ]

@@ -72,6 +72,16 @@ def case_study_exact():
     return case_study_scenario(exact=True)
 
 
+def near_linear_source() -> SourceModel:
+    """A 2 bit/s source sampled every 0.2 s whose two arrival-curve slopes
+    differ by about 5e-11 bit/s (2.5e-11 of its rate, above
+    ``curves.MERGE_TOL``): summed with a source of a few thousand bit/s whose
+    knee comes first, that knee is the sum's last and is merged away."""
+    from infocalc.sources import calibrate_sigma2
+
+    return SourceModel("near", calibrate_sigma2(2.0, 0.2, 0.08), 0.08, 0.2, "near")
+
+
 def random_scenario(rng: np.random.Generator, max_paths: int = 4) -> Scenario:
     """Small random scenario in the case-study family (node-disjoint paths of
     latency-rate nodes, exponential bounds, 1-3 symmetric sources per group)."""

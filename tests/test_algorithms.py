@@ -11,8 +11,8 @@ from pathlib import Path as FsPath
 import numpy as np
 import pytest
 
-from conftest import random_scenario
-from infocalc import algorithms
+from conftest import near_linear_source, random_scenario
+from infocalc import algorithms, sources
 from infocalc.algorithms import (
     AchievableRate,
     Infeasible,
@@ -21,6 +21,7 @@ from infocalc.algorithms import (
     bflr_table,
     calibrate_horizon,
     delivery_ratio,
+    delivery_ratio_table,
     dominates,
     feasible_rates,
     ratecal,
@@ -30,7 +31,7 @@ from infocalc.algorithms import (
 from infocalc.bounding import ExpBound, GridBound, ZeroBound
 from infocalc.calculus import IssSpec, delay_bound
 from infocalc.curves import Curve
-from infocalc.errors import SubsetLimitExceeded, UnreachableRatio
+from infocalc.errors import SubsetLimitExceeded, UnreachableRatio, ValidationError
 from infocalc.scenario import (
     PAPER_TABLE1_BOUNDINGS,
     Node,
@@ -38,7 +39,7 @@ from infocalc.scenario import (
     Scenario,
     effective_path_service,
 )
-from infocalc.sources import SpatialModel, aggregate_information
+from infocalc.sources import SpatialModel, aggregate_information, aggregate_rate
 
 R = 8000.0
 PINNED_RATIOS = FsPath(__file__).parent / "data" / "ratio_paired_six.json"
@@ -280,6 +281,19 @@ class TestDeliveryRatio:
             assert got == (r["ratio_lower_bound"], r["undelivered_quantile"],
                            r["fully_delivered_paths"], r["unassigned_sources"]), r["subset"]
 
+    @pytest.mark.parametrize("subset", [("L1", "L1"), ("L1", "L2", "L1")])
+    def test_repeated_path_rejected(self, case_study, subset):
+        calls = [
+            lambda: subset_service(case_study, subset),
+            lambda: schedule_subset(case_study, subset, 0.035, 1e-3),
+            lambda: delivery_ratio(case_study, subset, 0.015, 0.15, 0.06),
+            lambda: delivery_ratio_table(case_study, [("L2",), subset], 0.015, 0.15, 0.06),
+            lambda: calibrate_horizon(case_study, subset, 0.015, 0.15, 0.3),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError, match="L1 repeated"):
+                call()
+
     def test_monotone_random_sweep(self):
         rng = np.random.default_rng(5150)
         for _ in range(10):
@@ -309,6 +323,22 @@ def paired_six_paths(case_study) -> Scenario:
         replace(second, a=("P5", 1), b=("P6", 1)),
     )
     return Scenario(case_study.sources, case_study.spatial, paths, impairments)
+
+
+def kpath(case_study, k) -> Scenario:
+    """K paths L1..LK of 1-4 case-study nodes (L1 has 1, L2 2, ..., L5 1),
+    paired L1~L2, L3~L4, ... by the case study's two impairment entries in
+    turn, carrying the case study's nine sources."""
+    node = case_study.paths[0].nodes[0]
+    paths = tuple(Path(f"L{i}", tuple(replace(node, id=f"L{i}.{j}")
+                                      for j in range((i - 1) % 4 + 1)))
+                  for i in range(1, k + 1))
+    impairments = []
+    for i in range(1, k, 2):
+        kind = case_study.impairments[(i // 2) % 2]
+        idx = min(kind.a[1], len(paths[i - 1].nodes) - 1, len(paths[i].nodes) - 1)
+        impairments.append(replace(kind, a=(f"L{i}", idx), b=(f"L{i + 1}", idx)))
+    return Scenario(case_study.sources, case_study.spatial, paths, tuple(impairments))
 
 
 def reference_prune(rates):
@@ -387,6 +417,84 @@ class TestAnalysisContext:
         assert set(calls) == {(pid, frozenset(ps)) for pid, mates in partners.items()
                               for ps in (set(), mates)}
         assert set(calls.values()) == {1}
+
+    @pytest.mark.parametrize("delay,p", [(0.015, 0.15), (0.035, 1e-3)])
+    def test_ratio_table_unchanged(self, case, delay, p):
+        s, overrides = case
+        subsets = [tuple(c) for k in range(1, len(s.path_ids()) + 1)
+                   for c in itertools.combinations(s.path_ids(), k)]
+        table = delivery_ratio_table(s, subsets, delay, p, 0.06, overrides)
+        assert table == [delivery_ratio(s, subset, delay, p, 0.06, overrides)
+                         for subset in subsets]
+
+    def test_rates_without_curves_on_a_shared_context(self, case_study, monkeypatch):
+        # every above-rate kpath10 subset on one context: each source's
+        # single curve is built once for its rate, and otherwise only inside
+        # an arrival model, which is built once per fused source set
+        s = kpath(case_study, 10)
+        subsets = [r.subset for r in feasible_rates(s)]
+        assert len(subsets) == 968
+        rates, curves, arrivals = Counter(), Counter(), Counter()
+        single, aggregate = sources.gaussian_arrival_curve, algorithms.aggregate_information
+
+        def counted_rate(src, base=2.0):
+            rates[src.id] += 1
+            return single(src, base)
+
+        def counted_curve(src, base=2.0):
+            curves[src.id] += 1
+            return single(src, base)
+
+        def counted_arrival(srcs, spatial, base=2.0):
+            arrivals[frozenset(src.id for src in srcs)] += 1
+            return aggregate(srcs, spatial, base)
+
+        monkeypatch.setattr(algorithms, "gaussian_arrival_curve", counted_rate)
+        monkeypatch.setattr(sources, "gaussian_arrival_curve", counted_curve)
+        monkeypatch.setattr(algorithms, "aggregate_information", counted_arrival)
+        delivery_ratio_table(s, subsets, 0.015, 0.15, 1.0)
+        assert rates == Counter(src.id for src in s.sources)
+        assert set(arrivals.values()) == {1}
+        groups = {src.id: src.group_id for src in s.sources}
+        assert sum(curves.values()) == sum(len({groups[sid] for sid in key}) for key in arrivals)
+
+    def test_merged_last_knee_changes_no_answer(self, case_study, monkeypatch):
+        # with the near-linear source added, every fused set it joins has a
+        # scalar rate that differs from its summed curve's final slope; rate
+        # gates and redundancies read from the curves, as they were before
+        # the scalar fold, give the same answers
+        s = replace(case_study, sources=case_study.sources + (near_linear_source(),))
+        everything = list(s.sources)
+        assert aggregate_rate(everything, s.spatial) != \
+            aggregate_information(everything, s.spatial).asymptotic_rate
+        ids = s.path_ids()
+        subsets = [c for k in range(1, len(ids) + 1) for c in itertools.combinations(ids, k)]
+
+        def answers():
+            out = []
+            for delay, p in [(0.015, 0.15), (0.035, 1e-3)]:
+                for subset in subsets:
+                    out += [schedule_subset(s, subset, delay, p),
+                            delivery_ratio(s, subset, delay, p, 0.06)]
+                schedule = bflr(s, delay, p)
+                out += [schedule, bflr_table(s, delay, p),
+                        calibrate_horizon(s, ids, delay, p, 0.6)]
+                if isinstance(schedule, Schedule):
+                    out.append(delivery_ratio(s, schedule, delay, p, 0.06))
+            return [repr(x) for x in out]
+
+        def curve_redundancy(ctx, chosen_ids):
+            chosen = [ctx.sources[sid] for sid in chosen_ids]
+            if not chosen:
+                return 0.0
+            return float(sum(ctx.rate(src) for src in chosen)
+                         - ctx.arrival(chosen).curve.final_slope)
+
+        scalar = answers()
+        monkeypatch.setattr(algorithms._Context, "fused_rate",
+                            lambda ctx, fused: ctx.arrival(fused).asymptotic_rate)
+        monkeypatch.setattr(algorithms._Context, "redundancy", curve_redundancy)
+        assert scalar == answers()
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,31 @@ class TestRatio:
         rows = json.loads(out)
         assert rows[0]["ratio_lower_bound"] == pytest.approx(0.30, abs=1e-6)
 
+    @pytest.mark.parametrize("subset", ["L1+L1", "L1+L2+L1"])
+    @pytest.mark.parametrize("horizon", [("--horizon-ms", "60"), ("--calibrate", "30")],
+                             ids=["horizon", "calibrate"])
+    def test_repeated_path_id(self, capsys, scenario_file, subset, horizon):
+        # a repeated path counted twice printed 0.0% for L1+L1 and 20.6% for L1+L2+L1
+        code, out, err = run(capsys, "ratio", scenario_file, "--delay-ms", "15",
+                             "--violation", "0.15", *horizon, "--subset", subset)
+        assert_one_error_line(code, err)
+        assert "ValidationError" in err and "L1 repeated" in err
+        assert out == ""
+
+    def test_calibration_without_an_above_rate_subset(self, capsys, scenario_file, tmp_path):
+        # twice the source rates: no subset reaches the total, so there is
+        # no first subset to calibrate on
+        doc = json.loads(Path(scenario_file).read_text(encoding="utf-8"))
+        for src in doc["sources"]:
+            src["target_rate_bps"] *= 2
+        heavy = tmp_path / "heavy.json"
+        heavy.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "ratio", str(heavy), "--delay-ms", "15",
+                             "--violation", "0.15", "--calibrate", "50")
+        assert_one_error_line(code, err)
+        assert "--subset" in err
+        assert out == ""
+
     def test_unreachable_calibration_exit_code(self, capsys, scenario_file):
         code, out, err = run(capsys, "ratio", scenario_file, "--delay-ms", "15",
                              "--violation", "0.15", "--calibrate", "99.99", "--subset", "L1")
@@ -284,6 +309,30 @@ class TestBadArguments:
         assert_one_error_line(code, err)
         assert needle in err
 
+    @pytest.mark.parametrize("argv", [
+        ("bflr", "--delay-ms", "35", "--violation", "0.001", "--bogus"),
+        ("bflr", "--delay-ms", "abc", "--violation", "0.001"),
+        ("bflr", "--delay-ms", "35"),
+        ("ratio", "--delay-ms", "15", "--violation", "0.15", "--horizon-ms", "47",
+         "--format", "xml"),
+    ], ids=["unknown_option", "unparsable_value", "missing_option", "bad_choice"])
+    def test_usage_error_is_exit_1(self, capsys, scenario_file, argv):
+        # argparse's own exit 2 would read as INFEASIBLE
+        code, out, err = run(capsys, argv[0], scenario_file, *argv[1:])
+        assert_one_error_line(code, err)
+        assert out == ""
+
+    def test_missing_command_is_exit_1(self, capsys):
+        code, out, err = run(capsys)
+        assert_one_error_line(code, err)
+        assert "command" in err
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bflr", "--help"])
+        assert exc.value.code == 0
+        assert "--delay-ms" in capsys.readouterr().out
+
     def test_non_finite_scenario_field(self, capsys, scenario_file, tmp_path):
         with open(scenario_file, encoding="utf-8") as fh:
             text = fh.read()
@@ -313,6 +362,18 @@ FUZZ_FIELDS = [
 FUZZ_VALUES = st.sampled_from([0.0, -1.0, -8000.0, 5e-324, 1.5, 9000.0, 1e9, 1e300]) | st.floats()
 
 
+def assert_fails_cleanly(argv, note):
+    """``main(argv)`` answers (exit 0 or 2) or fails with exit 1, with no
+    traceback and no NaN in its output."""
+    out, err = io.StringIO(), io.StringIO()
+    # an exception escaping main fails the test with its traceback
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), note
+    assert "Traceback" not in err.getvalue()
+    assert not re.search(r"\bnan\b", out.getvalue(), re.IGNORECASE), note
+
+
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(mutations=st.lists(st.tuples(st.sampled_from(FUZZ_FIELDS), FUZZ_VALUES),
                           min_size=1, max_size=3))
@@ -327,13 +388,34 @@ def test_mutated_case_study_fails_cleanly(tmp_path_factory, mutations):
     path.write_text(json.dumps(doc), encoding="utf-8")
     for argv in (["ratecal", str(path), "--prune"],
                  ["bflr", str(path), "--delay-ms", "35", "--violation", "0.001"]):
-        out, err = io.StringIO(), io.StringIO()
-        # an exception escaping main fails the test with its traceback
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        assert code in (0, 1, 2), (argv[0], mutations)
-        assert "Traceback" not in err.getvalue()
-        assert not re.search(r"\bnan\b", out.getvalue(), re.IGNORECASE), (argv[0], mutations)
+        assert_fails_cleanly(argv, (argv[0], mutations))
+
+
+#: in range, out of range, non-finite, unparsable and empty option values
+FUZZ_OPTION_VALUES = st.sampled_from(["15", "35", "0.15", "1e-3", "60", "59.7", "0", "-1", "1.5",
+                                      "100", "nan", "inf", "1e999", "abc", ""])
+FUZZ_OPTIONS = ["--delay-ms", "--violation", "--horizon-ms", "--calibrate", "--format"]
+#: path ids: known, unknown, empty, wrong case, padded
+FUZZ_SUBSETS = st.lists(st.sampled_from(["L1", "L2", "L3", "L4", "L9", "", "l1", " L1"]),
+                        min_size=1, max_size=4).map("+".join)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(command=st.sampled_from(["ratio", "bflr"]),
+       options=st.lists(st.tuples(st.sampled_from(FUZZ_OPTIONS), FUZZ_OPTION_VALUES),
+                        max_size=3),
+       subsets=st.lists(FUZZ_SUBSETS, max_size=3))
+def test_mutated_argv_fails_cleanly(command, options, subsets):
+    # a valid question, then options that override it and --subset strings
+    # (unknown, repeated and empty ids; bflr takes no --subset at all)
+    valid = {"ratio": ["--delay-ms", "15", "--violation", "0.15", "--horizon-ms", "60"],
+             "bflr": ["--delay-ms", "35", "--violation", "0.001"]}[command]
+    argv = [command, case_study_path(), *valid]
+    for option, value in options:
+        argv += [option, value]
+    for subset in subsets:
+        argv += ["--subset", subset]
+    assert_fails_cleanly(argv, argv)
 
 
 def _subprocess_env():

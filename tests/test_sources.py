@@ -1,15 +1,21 @@
 """Gaussian entropy curves against the covariance log-determinant oracle."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from conftest import near_linear_source, random_scenario
+from infocalc.algorithms import _Context
+from infocalc.curves import MERGE_TOL
 from infocalc.errors import DegenerateVariance, InconsistentGroup, NumericalSingularity
+from infocalc.scenario import Scenario
 from infocalc.sources import (
     SourceModel,
     SpatialModel,
     aggregate_information,
+    aggregate_rate,
     calibrate_sigma2,
     entropy_of_gaussian_block,
     gaussian_arrival_curve,
@@ -174,6 +180,89 @@ class TestGroups:
         assert marginal_redundancy_rate(srcs[1], [srcs[0]], spatial) == pytest.approx(0.2 * RATE, rel=1e-9)
         assert marginal_redundancy_rate(srcs[2], srcs[:2], spatial) == pytest.approx(0.4 * RATE, rel=1e-9)
         assert marginal_redundancy_rate(outsider, srcs[:2], spatial) == 0.0
+
+
+def curve_redundancy(sources, spatial):
+    """``subset_redundancy_rate`` from whole curves, as it was computed before
+    the scalar fold."""
+    total_single = sum(gaussian_arrival_curve(x).curve.final_slope for x in sources)
+    return float(total_single - aggregate_information(sources, spatial).curve.final_slope)
+
+
+def five_groups() -> Scenario:
+    """Five pairs of sources with uneven rates, sampling intervals and
+    correlation constants: summing their group rates in another order
+    changes the float result on about a quarter of the subsets."""
+    rates = [1234.567, 987.654321, 3141.5926, 271.828, 1618.034]
+    sources, coeffs = [], {}
+    for g, rate in enumerate(rates):
+        delta, eta = (0.1, 0.05, 0.15)[g % 3], (100.0, 3.0)[g % 2]
+        sigma2 = calibrate_sigma2(rate, delta, eta)
+        sources += [SourceModel(f"g{g}.{m}", sigma2, eta, delta, f"g{g}") for m in range(2)]
+        coeffs[f"g{g}"] = {2: 1.7, 3: 2.3}
+    return Scenario(tuple(sources), SpatialModel(coeffs), (), ())
+
+
+class TestScalarRates:
+    """The scalar fold is the curve algebra's final slope, bit for bit."""
+
+    @pytest.fixture(params=["case_study", "exact", "five_groups"]
+                    + [f"random{seed}" for seed in range(30)])
+    def scenario(self, request, case_study, case_study_exact):
+        if request.param == "case_study":
+            return case_study
+        if request.param == "exact":
+            return case_study_exact
+        if request.param == "five_groups":
+            return five_groups()
+        return random_scenario(np.random.default_rng(int(request.param[len("random"):])))
+
+    def test_equal_to_curves_on_every_source_subset(self, scenario):
+        ctx = _Context(scenario, None)
+        sources = list(scenario.sources)
+        for k in range(1, len(sources) + 1):
+            for combo in itertools.combinations(sources, k):
+                for subset in (list(combo), list(reversed(combo))):
+                    fused = aggregate_information(subset, scenario.spatial).asymptotic_rate
+                    assert aggregate_rate(subset, scenario.spatial) == fused
+                    assert ctx.fused_rate(subset) == fused
+                    red = curve_redundancy(subset, scenario.spatial)
+                    assert subset_redundancy_rate(subset, scenario.spatial) == red
+                    assert ctx.redundancy(tuple(x.id for x in subset)) == red
+
+    def test_sum_of_group_slopes_where_the_curve_sum_drops_its_last_knee(self):
+        # the near-linear source's knee at 0.2 s comes after the pair's at
+        # 0.1 s and moves the summed slope by under MERGE_TOL of it: the
+        # summed curve keeps the slope before that knee, the fold adds the
+        # two groups' final slopes
+        near = near_linear_source()
+        pair = [SourceModel(f"b{i}", calibrate_sigma2(1200.0, DELTA, ETA), ETA, DELTA, "b")
+                for i in range(2)]
+        spatial = SpatialModel({"b": {2: 1.7}})
+        assert len(gaussian_arrival_curve(near).curve.segments) == 2
+        summed = aggregate_information(pair + [near], spatial).curve
+        assert near.delta not in summed.breakpoints()
+        rate = aggregate_rate(pair + [near], spatial)
+        assert rate == (group_information(pair, spatial).curve.final_slope
+                        + group_information([near], spatial).curve.final_slope)
+        assert summed.final_slope != rate
+        assert abs(summed.final_slope - rate) <= MERGE_TOL * rate
+
+    def test_raises_where_the_curves_raise(self, source):
+        spatial = SpatialModel({"g1": {2: 1.8, 3: 2.4}})
+        mixed = [source, SourceModel("y", source.sigma2 * 2, ETA, DELTA, "g1")]
+        four = [SourceModel(f"g1.{i}", source.sigma2, ETA, DELTA, "g1") for i in range(4)]
+        flat = [SourceModel("z", 0.01, ETA, DELTA, "g2")]
+        for sources, error in ((mixed, InconsistentGroup), (four, ValueError),
+                               (flat, DegenerateVariance)):
+            with pytest.raises(error):
+                aggregate_information(sources, spatial)
+            with pytest.raises(error):
+                aggregate_rate(sources, spatial)
+
+    def test_empty_set_has_rate_zero(self, spatial):
+        assert aggregate_rate([], spatial) == aggregate_information([], spatial).asymptotic_rate
+        assert subset_redundancy_rate([], spatial) == 0.0
 
 
 class TestSpatialModel:
