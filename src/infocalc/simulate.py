@@ -14,6 +14,14 @@ the impairment's own window envelope, plus one exponential burst at a
 random time whose tail decays strictly faster than the bounding function.
 One process is sampled per impairment entry and applied to both endpoint
 nodes (correlated interference).
+
+Every random draw is made up front, three numbers per run and impairment
+entry, in one fixed order, so a seed fixes every run.  Runs are then served
+``CHUNK_RUNS`` at a time in a time-major layout: a chunk's matrices are
+(steps x runs), the tandem recursion advances one contiguous row per time
+step, and each chunk is reduced at once to the per-run samples the reports
+read (delay, backlog, backlog within delay).  Memory is therefore
+O(CHUNK_RUNS x steps) plus O(runs), whatever the run count.
 """
 
 from __future__ import annotations
@@ -33,6 +41,9 @@ from .sources import aggregate_information
 from .algorithms import Schedule
 
 WILSON_Z = 1.959963984540054  # 95% two-sided
+
+#: runs served together; bounds the simulator's working set
+CHUNK_RUNS = 1024
 
 _MASK = (1 << 64) - 1
 
@@ -59,12 +70,24 @@ class TraceConfig:
     horizon: float = 1.0
 
     def __post_init__(self):
+        for name in ("runs", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("time_step", "horizon"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
         if self.time_step <= 0:
             raise ConfigError("time_step must be positive")
         if self.horizon < self.time_step:
             raise ConfigError("horizon must cover at least one time step")
+
+    @property
+    def steps(self) -> int:
+        return int(round(self.horizon / self.time_step))
 
 
 @dataclass
@@ -141,14 +164,20 @@ def _impairment_params(entry: ImpairmentEntry, node: Node) -> tuple[float, float
 
 def _sample_impairment_increments(entry: ImpairmentEntry, node: Node, cfg: TraceConfig,
                                   rng: np.random.Generator) -> np.ndarray:
-    """Per-run cumulative-increment matrix (runs x steps) of one impairment."""
+    """Per-run draws (3 x runs) of one impairment: the fluid increment per
+    step, the burst size and the step the burst lands in."""
     rate, burst_scale, bern, _ = _impairment_params(entry, node)
-    steps = int(round(cfg.horizon / cfg.time_step))
-    inc = np.full((cfg.runs, steps), rate * cfg.time_step)
     bursts = rng.exponential(burst_scale, size=cfg.runs)
     bursts *= rng.random(cfg.runs) < bern
-    at = rng.integers(0, max(1, int(steps * 0.8)), size=cfg.runs)
-    inc[np.arange(cfg.runs), at] += bursts
+    at = rng.integers(0, max(1, int(cfg.steps * 0.8)), size=cfg.runs)
+    return np.stack([np.full(cfg.runs, rate * cfg.time_step), bursts, at])
+
+
+def _increments(draws: np.ndarray, steps: int) -> np.ndarray:
+    """Time-major increment matrix (steps x runs) of the runs in ``draws``."""
+    fluid, bursts, at = draws
+    inc = np.broadcast_to(fluid, (steps, len(fluid))).copy()
+    inc[at.astype(np.intp), np.arange(len(fluid))] += bursts
     return inc
 
 
@@ -156,16 +185,16 @@ def impairment_excess_samples(entry: ImpairmentEntry, node: Node, cfg: TraceConf
     """Per-run sup-window excess of the sampled process over its (clipped)
     arrival envelope: the empirical self-check of the impairment model."""
     rng = np.random.default_rng(splitmix64_stream(cfg.seed, 1)[0])
-    inc = _sample_impairment_increments(entry, node, cfg, rng)
-    cum = np.concatenate([np.zeros((cfg.runs, 1)), np.cumsum(inc, axis=1)], axis=1)
+    inc = _increments(_sample_impairment_increments(entry, node, cfg, rng), cfg.steps)
+    cum = np.concatenate([np.zeros((1, cfg.runs)), np.cumsum(inc, axis=0)])
     proc = entry.process_for(node)
-    n = cum.shape[1]
+    n = cum.shape[0]
     ts = np.arange(n) * cfg.time_step
     env = np.array([max(0.0, float(proc.curve.value(t))) for t in ts])
     best = np.zeros(cfg.runs)
     for u in range(n - 1):
-        window = cum[:, u + 1:] - cum[:, u:u + 1] - env[1:n - u][None, :]
-        np.maximum(best, window.max(axis=1), out=best)
+        window = cum[u + 1:] - cum[u] - env[1:n - u][:, None]
+        np.maximum(best, window.max(axis=0), out=best)
     return best
 
 
@@ -190,38 +219,42 @@ def impairment_selfcheck(entry: ImpairmentEntry, node: Node, cfg: TraceConfig,
 
 
 def _serve_path(arrival_cum: np.ndarray, path_nodes: list[Node],
-                node_impairments: list[np.ndarray | None], cfg: TraceConfig) -> np.ndarray:
+                node_impairments: list[np.ndarray | None], runs: int,
+                time_step: float) -> np.ndarray:
     """Push a deterministic fluid arrival through the path's tandem of
-    latency-rate servers; returns per-run cumulative output (runs x steps+1)."""
-    steps = int(round(cfg.horizon / cfg.time_step))
-    runs = cfg.runs
-    x = np.broadcast_to(arrival_cum, (runs, steps + 1)).copy()
+    latency-rate servers; returns the cumulative output of ``runs`` runs,
+    time-major ((steps+1) x runs).  A node's impairment is its (steps x runs)
+    increment matrix, or None.
+
+    Output at step k is min(input at k - latency, output at k-1 + capacity
+    of step k-1): each step reads and writes whole contiguous rows.
+    """
+    steps = len(arrival_cum) - 1
+    x = arrival_cum[:, None]
     for node, imp in zip(path_nodes, node_impairments):
-        k_d = int(math.ceil(float(node.latency) / cfg.time_step - 1e-12))
-        delayed = np.zeros_like(x)
-        if k_d < steps + 1:
-            delayed[:, k_d:] = x[:, : steps + 1 - k_d]
-        cap = np.full((runs, steps), float(node.rate) * cfg.time_step)
-        if imp is not None:
-            cap = np.maximum(cap - imp, 0.0)
-        out = np.zeros_like(x)
-        for k in range(steps):
-            out[:, k + 1] = np.minimum(delayed[:, k + 1], out[:, k] + cap[:, k])
+        k_d = int(math.ceil(float(node.latency) / time_step - 1e-12))
+        full = float(node.rate) * time_step
+        cap = np.full((steps, 1), full) if imp is None else np.maximum(full - imp, 0.0)
+        out = np.zeros((steps + 1, runs))
+        k0 = max(k_d, 1)  # rows before the latency stay zero
+        for prev, step_cap, inp, row in zip(out[k0 - 1:], cap[k0 - 1:], x[k0 - k_d:], out[k0:]):
+            np.add(prev, step_cap, out=row)
+            np.minimum(inp, row, out=row)
         x = out
     return x
 
 
 def _delay_samples(arrival_cum: np.ndarray, out_cum: np.ndarray, k_eval: int,
-                   cfg: TraceConfig) -> np.ndarray:
-    """Information delay at the evaluation instant, per run (censored at the
-    remaining horizon)."""
+                   time_step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Information delay at the evaluation instant, per run of the time-major
+    ``out_cum`` (censored at the remaining horizon), and the censored runs."""
     target = arrival_cum[k_eval]
-    tail = out_cum[:, k_eval:]
+    tail = out_cum[k_eval:]
     reached = tail >= target - 1e-9
-    first = np.argmax(reached, axis=1).astype(float)
-    never = ~reached.any(axis=1)
-    first[never] = tail.shape[1]  # censored: at least the remaining horizon
-    return first * cfg.time_step
+    first = np.argmax(reached, axis=0).astype(float)
+    never = ~reached.any(axis=0)
+    first[never] = tail.shape[0]  # censored: at least the remaining horizon
+    return first * time_step, never
 
 
 def _threshold_grid(lo: float, hi: float, n: int = 20) -> np.ndarray:
@@ -270,35 +303,57 @@ def simulate(s: Scenario, schedule: Schedule, cfg: TraceConfig,
 
     Produces a delay and a backlog report per path carrying sources (plus a
     backlog-within-delay report when ``within_delay`` is given).  Identical
-    (scenario, schedule, cfg) inputs give bit-identical reports.
+    (scenario, schedule, cfg) inputs give bit-identical reports, whatever
+    the chunking.  A delay report's ``meta["censored"]`` is the fraction of
+    runs whose delay sample was censored at the remaining horizon.
     """
-    steps = int(round(cfg.horizon / cfg.time_step))
+    steps = cfg.steps
     ts = np.arange(steps + 1) * cfg.time_step
     active = set(schedule.subset)
     rng = np.random.default_rng(splitmix64_stream(cfg.seed, 1)[0])
 
     # one sampled process per impairment entry, shared by both endpoints
-    entry_samples: dict[int, np.ndarray] = {}
+    entry_draws: dict[int, np.ndarray] = {}
     for i, entry in enumerate(s.impairments):
         if entry.a[0] in active and entry.b[0] in active:
             node = s.path(entry.a[0]).nodes[entry.a[1]]
-            entry_samples[i] = _sample_impairment_increments(entry, node, cfg, rng)
+            entry_draws[i] = _sample_impairment_increments(entry, node, cfg, rng)
 
-    reports: list[TailReport] = []
     k_eval = steps // 2
+    k_out = k_eval
+    if within_delay is not None:
+        k_out = min(k_eval + int(round(within_delay / cfg.time_step)), steps)
+    flows = []
     for pid in schedule.subset:
         sources = [src for src in s.sources if schedule.assignment.get(src.id) == pid]
         arrival = aggregate_information(sources, s.spatial)
         arrival_cum = np.array([float(arrival.curve.value(t)) for t in ts])
         path = s.path(pid)
-        node_imps = []
-        for idx, node in enumerate(path.nodes):
-            total = None
-            for i, entry in enumerate(s.impairments):
-                if i in entry_samples and (pid, idx) in (entry.a, entry.b):
-                    total = entry_samples[i] if total is None else total + entry_samples[i]
-            node_imps.append(total)
-        out_cum = _serve_path(arrival_cum, list(path.nodes), node_imps, cfg)
+        node_entries = [[i for i, entry in enumerate(s.impairments)
+                         if i in entry_draws and (pid, idx) in (entry.a, entry.b)]
+                        for idx in range(len(path.nodes))]
+        # per run: delay, backlog, backlog within delay, censored delay (0/1)
+        flows.append((pid, arrival, arrival_cum, list(path.nodes), node_entries,
+                      np.empty((4, cfg.runs))))
+
+    for lo in range(0, cfg.runs, CHUNK_RUNS):
+        hi = min(lo + CHUNK_RUNS, cfg.runs)
+        incs = {i: _increments(draws[:, lo:hi], steps) for i, draws in entry_draws.items()}
+        for _, _, arrival_cum, nodes, node_entries, samples in flows:
+            node_imps = []
+            for entries in node_entries:
+                total = None
+                for i in entries:
+                    total = incs[i] if total is None else total + incs[i]
+                node_imps.append(total)
+            out_cum = _serve_path(arrival_cum, nodes, node_imps, hi - lo, cfg.time_step)
+            samples[0, lo:hi], samples[3, lo:hi] = _delay_samples(arrival_cum, out_cum, k_eval,
+                                                                  cfg.time_step)
+            samples[1, lo:hi] = arrival_cum[k_eval] - out_cum[k_eval]
+            samples[2, lo:hi] = arrival_cum[k_eval] - out_cum[k_out]
+
+    reports: list[TailReport] = []
+    for pid, arrival, _, _, _, (delays, backlogs, bwd, censored) in flows:
         service = effective_path_service(s, active, pid)
         meta = {"runs": cfg.runs, "seed": cfg.seed, "time_step": cfg.time_step,
                 "horizon": cfg.horizon, "eval_time": float(ts[k_eval]), "path": pid}
@@ -309,7 +364,6 @@ def simulate(s: Scenario, schedule: Schedule, cfg: TraceConfig,
         x_top = bf_invert(fg, p_floor / 2)
 
         # --- delay ---
-        delays = _delay_samples(arrival_cum, out_cum, k_eval, cfg)
         try:
             q_hint = horizontal_deviation(arrival.curve.shift_up(x_top), service.curve.floor_at(x_top))
         except InfiniteDeviation:
@@ -319,10 +373,10 @@ def simulate(s: Scenario, schedule: Schedule, cfg: TraceConfig,
         k = (delays[None, :] > thr[:, None]).sum(axis=1)
         emp, ci = k / cfg.runs, wilson_upper(k, cfg.runs)
         reports.append(TailReport("delay", pid, thr, emp, ci, bounds,
-                                  _points_pass(k, ci, bounds, cfg.runs), dict(meta)))
+                                  _points_pass(k, ci, bounds, cfg.runs),
+                                  meta | {"censored": float(censored.sum()) / cfg.runs}))
 
         # --- backlog ---
-        backlogs = arrival_cum[k_eval] - out_cum[:, k_eval]
         try:
             dev = float(deconvolve(arrival.curve, service.curve).value(0))
         except UnboundedDeconvolution:
@@ -342,9 +396,6 @@ def simulate(s: Scenario, schedule: Schedule, cfg: TraceConfig,
 
         # --- backlog within delay ---
         if within_delay is not None:
-            k_tau = int(round(within_delay / cfg.time_step))
-            k_out = min(k_eval + k_tau, steps)
-            bwd = arrival_cum[k_eval] - out_cum[:, k_out]
             c = service_deficit(arrival, service, within_delay)
             shift = float(-c) if c != -INF else 0.0
             thr_w = _threshold_grid(max(shift * 0.25, step_bits), shift + x_top + 2 * step_bits)
@@ -354,10 +405,9 @@ def simulate(s: Scenario, schedule: Schedule, cfg: TraceConfig,
                 bounds_w = np.array([float(fg.value(x - 2 * step_bits + float(c))) for x in thr_w])
             k = (bwd[None, :] > thr_w[:, None]).sum(axis=1)
             emp, ci = k / cfg.runs, wilson_upper(k, cfg.runs)
-            m = dict(meta)
-            m["within_delay"] = within_delay
             reports.append(TailReport("backlog_within_delay", pid, thr_w, emp, ci, bounds_w,
-                                      _points_pass(k, ci, bounds_w, cfg.runs), m))
+                                      _points_pass(k, ci, bounds_w, cfg.runs),
+                                      meta | {"within_delay": within_delay}))
     return reports
 
 

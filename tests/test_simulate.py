@@ -1,5 +1,10 @@
 """Monte-Carlo oracle: reproducibility, conservation, bound validation."""
 
+import json
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -36,6 +41,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             TraceConfig(runs=1, seed=1, time_step=1.0, horizon=0.5)
 
+    @pytest.mark.parametrize("bad", [
+        {"time_step": float("nan")}, {"time_step": float("inf")},
+        {"horizon": float("nan")}, {"horizon": float("inf")}, {"time_step": "0.001"},
+        {"runs": 2.5}, {"runs": True}, {"runs": 10.0}, {"runs": "10"}, {"seed": 1.5},
+    ])
+    def test_typed_errors(self, bad):
+        with pytest.raises(ConfigError):
+            TraceConfig(**({"runs": 10, "seed": 1} | bad))
+
     def test_splitmix_is_deterministic(self):
         a = splitmix64_stream(42, 5)
         b = splitmix64_stream(42, 5)
@@ -68,12 +82,63 @@ class TestReproducibility:
             assert np.array_equal(ra.bounds, rb.bounds)
             assert ra.passed == rb.passed
 
+    def test_chunk_size_changes_nothing(self, case_study, two_path_schedule, monkeypatch):
+        cfg = TraceConfig(runs=50, seed=7, time_step=1e-3, horizon=0.2)
+        whole = simulate(case_study, two_path_schedule, cfg, within_delay=0.015)
+        monkeypatch.setattr(sys.modules["infocalc.simulate"], "CHUNK_RUNS", 7)
+        chunked = simulate(case_study, two_path_schedule, cfg, within_delay=0.015)
+        assert [r.to_json() for r in chunked] == [r.to_json() for r in whole]
+
     def test_seed_changes_samples(self, case_study, two_path_schedule):
         a = simulate(case_study, two_path_schedule,
                      TraceConfig(runs=300, seed=7, time_step=1e-3, horizon=0.5))
         b = simulate(case_study, two_path_schedule,
                      TraceConfig(runs=300, seed=8, time_step=1e-3, horizon=0.5))
         assert any(not np.array_equal(ra.empirical, rb.empirical) for ra, rb in zip(a, b))
+
+
+GOLDEN = Path(__file__).parent / "data" / "simulate_golden.json"
+
+#: run counts below, across and off the simulator's chunk boundaries
+GOLDEN_CONFIGS = (
+    TraceConfig(runs=1, seed=42),
+    TraceConfig(runs=1500, seed=42, time_step=1e-3, horizon=0.8),
+    TraceConfig(runs=2049, seed=7, time_step=2e-3, horizon=0.5),
+)
+
+
+def golden_cases(s):
+    """(key, reports) of every pinned seeded run on the case study ``s``."""
+    for delay, p in ((0.035, 1e-3), (0.045, 1e-4)):
+        sched = bflr(s, delay, p)
+        for cfg in GOLDEN_CONFIGS:
+            yield (f"bflr D={delay} p={p} runs={cfg.runs}",
+                   simulate(s, sched, cfg, within_delay=delay))
+    cfg = GOLDEN_CONFIGS[2]
+    four = Schedule({f"A1.{i}": "L1" for i in (1, 2, 3)} | {f"A2.{i}": "L2" for i in (1, 2, 3)}
+                    | {"A3.1": "L3", "A3.2": "L3", "A3.3": "L4"}, ("L1", "L2", "L3", "L4"), {})
+    yield "four paths", simulate(s, four, cfg, within_delay=0.005)
+    yield "zero sources", simulate(s, Schedule({}, ("L3",), {}), cfg)
+    for i, entry in enumerate(s.impairments):
+        node = s.path(entry.a[0]).nodes[entry.a[1]]
+        yield f"selfcheck entry={i}", [impairment_selfcheck(entry, node, cfg)]
+
+
+def pinned(report) -> dict:
+    doc = report.to_json()
+    return {k: doc[k] for k in ("quantity", "path", "passed", "points")}
+
+
+class TestGolden:
+    def test_reports_equal_recorded(self, case_study):
+        # recorded from the row-major simulator that served all runs at once
+        golden = json.loads(GOLDEN.read_text())
+        got = {key: [pinned(r) for r in reports] for key, reports in golden_cases(case_study)}
+        assert got.keys() == golden.keys()
+        for key, reports in got.items():
+            assert len(reports) == len(golden[key]), key
+            for rep, want in zip(reports, golden[key]):
+                assert rep == want, (key, rep["quantity"], rep["path"])
 
 
 class TestBounds:
@@ -99,21 +164,66 @@ class TestBounds:
 
     def test_conservation(self, case_study, two_path_schedule):
         # delivered information never exceeds arrivals, per run and per step
-        from infocalc.simulate import _sample_impairment_increments, _serve_path
+        from infocalc.simulate import _increments, _sample_impairment_increments, _serve_path
         from infocalc.sources import aggregate_information
 
         cfg = TraceConfig(runs=50, seed=9, time_step=1e-3, horizon=0.3)
         rng = np.random.default_rng(123)
         sources = [s for s in case_study.sources if s.group_id == "1"]
         arrival = aggregate_information(sources, case_study.spatial)
-        steps = int(round(cfg.horizon / cfg.time_step))
-        ts = np.arange(steps + 1) * cfg.time_step
+        ts = np.arange(cfg.steps + 1) * cfg.time_step
         arr = np.array([float(arrival.curve.value(t)) for t in ts])
-        path = case_study.path("L1")
-        imp = _sample_impairment_increments(case_study.impairments[0], path.nodes[0], cfg, rng)
-        out = _serve_path(arr, list(path.nodes), [imp], cfg)
-        assert np.all(out <= arr[None, :] + 1e-9)
-        assert np.all(np.diff(out, axis=1) >= -1e-9)
+        path = case_study.path("L2")  # two nodes, the first impaired
+        draws = _sample_impairment_increments(case_study.impairments[0], path.nodes[0], cfg, rng)
+        assert draws.shape == (3, cfg.runs)
+        imps = [_increments(draws, cfg.steps)] + [None] * (len(path.nodes) - 1)
+        out = _serve_path(arr, list(path.nodes), imps, cfg.runs, cfg.time_step)
+        assert out.shape == (cfg.steps + 1, cfg.runs)  # time-major
+        assert np.all(out <= arr[:, None] + 1e-9)
+        assert np.all(np.diff(out, axis=0) >= -1e-9)
+
+
+class TestMemory:
+    def test_peak_is_bounded_by_the_chunk(self, case_study, two_path_schedule):
+        # four chunks' worth of runs costs little more than one chunk
+        from infocalc.simulate import CHUNK_RUNS
+
+        def peak(runs):
+            cfg = TraceConfig(runs=runs, seed=3, time_step=1e-3, horizon=0.3)
+            tracemalloc.start()
+            try:
+                simulate(case_study, two_path_schedule, cfg, within_delay=0.015)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # warm every lazy set-up
+        one, four = peak(CHUNK_RUNS), peak(4 * CHUNK_RUNS)
+        assert four <= 1.2 * one, (one, four)
+
+
+class TestCensoring:
+    @staticmethod
+    def delay_reports(case_study, schedule, horizon):
+        cfg = TraceConfig(runs=400, seed=1, time_step=1e-3, horizon=horizon)
+        return {r.path_id: r for r in simulate(case_study, schedule, cfg) if r.quantity == "delay"}
+
+    def test_no_delay_observed_is_all_censored(self, case_study, two_path_schedule):
+        # 10 ms remain after the evaluation instant; L2's two nodes add 15 ms of latency
+        reports = self.delay_reports(case_study, two_path_schedule, 0.02)
+        assert reports["L1"].meta["censored"] == 0.0
+        assert reports["L2"].meta["censored"] == 1.0
+
+    def test_partial_censoring_is_counted_in_the_tail(self, case_study, two_path_schedule):
+        rep = self.delay_reports(case_study, two_path_schedule, 0.032)["L2"]
+        share = rep.meta["censored"]
+        assert 0.0 < share < 1.0
+        # a censored sample reads as the remaining horizon, 17 steps here
+        remaining = 0.017
+        below = rep.thresholds < remaining - 1e-12
+        assert below.any()
+        assert np.all(rep.empirical[below] >= share)
+        assert np.all(rep.empirical[~below] == 0.0)
 
 
 class TestImpairmentModel:
@@ -160,3 +270,11 @@ def test_simulate_matches_bflr_schedule(case_study):
     reports = simulate(case_study, sched, cfg)
     assert {r.path_id for r in reports} == set(sched.subset)
     assert all(r.passed for r in reports)
+
+
+if __name__ == "__main__":
+    # rewrite the golden file: PYTHONPATH=src python tests/test_simulate.py
+    from infocalc.scenario import case_study_scenario
+
+    doc = {key: [pinned(r) for r in reports] for key, reports in golden_cases(case_study_scenario())}
+    GOLDEN.write_text(json.dumps(doc, sort_keys=True) + "\n")
