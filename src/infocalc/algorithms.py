@@ -15,11 +15,28 @@ in its sampled fallback (for any positive grid step).  Rounding a Fraction
 or an int to float is monotone, so the three conditions still hold on
 floats.  Pruning therefore filters the candidate dominators of each subset
 with numpy on those three floats and lets ``dominates`` decide only those:
-the kept list, and its order, are those of the all-pairs scan.
+the kept list, and its order, are those of the all-pairs scan.  The filter
+is ``_may_dominate`` on ``_filter_keys``; ``_Dominance`` applies it with
+``dominates`` to a whole list, for ``ratecal`` and for the pruned ``bflr``
+stream, and ``_dominators_first`` to the services of an equal-rate group.
 
 ``bflr`` (best-fit, largest redundancy) greedily packs sources onto the
 paths of each candidate subset, fusing same-group sources to exploit their
-redundancy and verifying each path with the stochastic delay bound.
+redundancy and verifying each path with the stochastic delay bound.  It
+tries the subsets whose rate reaches the sources' total rate by decreasing
+rate and stops at the first feasible packing.  ``_best_first`` builds a
+subset's service only once the sum of its paths' standalone rates is the
+largest left.  That sum bounds the subset's rate from above, because
+impairment only subtracts; so the order is that of building and sorting
+them all.  Equal rates go with each subset after every subset that
+dominates it, and otherwise by subset id (``_dominators_first``), so that
+``bflr`` never chooses a dominated subset over a feasible equal-rate subset
+that dominates it.  An infeasible answer still tries every subset whose
+bound reaches the total rate, because the greedy packing is not monotone in
+the subset.  ``SUBSET_LIMIT`` refuses the full listings (``ratecal``,
+``feasible_rates``, ``bflr_table``) above 24 paths, and ``bflr`` only after
+it has built 2^24 - 1 subsets.
+
 ``delivery_ratio`` is the relaxation used when no schedule meets the delay
 bound: it lower-bounds the fraction of source information delivered within
 the bound at a given violation probability.
@@ -61,17 +78,22 @@ context memoizes, in plain dicts:
 Each memo key holds everything its value depends on besides the scenario
 and overrides, so sharing a context between queries changes no answer:
 every answer is the one computed without it, bit for bit and in the same
-order.  A context dies with the public call that built it.  The functions that
-take a ``ctx`` (``subset_service``, ``ratecal``, ``schedule_subset``,
-``feasible_rates``, ``delivery_ratio``) build one when given none.  A subset that names a path twice is a ``ValidationError``.
+order.  A context dies with the public call that built it.  It also holds
+each path's standalone rate, which orders the paths of a packing and bounds
+a subset's rate.  The functions that take a ``ctx`` (``subset_service``,
+``ratecal``, ``schedule_subset``, ``feasible_rates``, ``delivery_ratio``)
+build one when given none.  A subset that names a path twice is a
+``ValidationError``.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -84,7 +106,7 @@ from .calculus import (
     parallel,
     service_deficit,
 )
-from .curves import INF, Curve
+from .curves import INF, MERGE_TOL, Curve
 from .errors import InfiniteDeviation, SubsetLimitExceeded, UnreachableRatio, ValidationError
 from .scenario import Scenario, effective_path_service
 from .sources import (
@@ -153,6 +175,7 @@ class _Context:
         self.s = s
         self.overrides = bounding_overrides
         self.partners = {pid: s.partners(pid) for pid in s.path_ids()}
+        self.standalone = {path.id: path.standalone_rate for path in s.paths}
         self.sources = {src.id: src for src in s.sources}
         self._services: dict[tuple, IssSpec] = {}
         self._rates: dict[str, float] = {}
@@ -258,9 +281,7 @@ def ratecal(s: Scenario, prune: bool = False,
             *, ctx: _Context | None = None) -> list[AchievableRate]:
     """Stochastically achievable information delivery rates: one per non-empty
     path subset; with ``prune``, dominated subsets are dropped."""
-    ids = s.path_ids()
-    if len(ids) > SUBSET_LIMIT:
-        raise SubsetLimitExceeded(f"{len(ids)} paths exceed the 2^{SUBSET_LIMIT} guard")
+    ids = _listing_guard(s)
     ctx = ctx or _Context(s, bounding_overrides)
     rates = []
     for k in range(1, len(ids) + 1):
@@ -270,19 +291,60 @@ def ratecal(s: Scenario, prune: bool = False,
     return _undominated(rates) if prune else rates
 
 
+def _listing_guard(s: Scenario) -> list[str]:
+    """The path ids, when listing every subset stays within the guard."""
+    ids = s.path_ids()
+    if len(ids) > SUBSET_LIMIT:
+        raise SubsetLimitExceeded(f"{len(ids)} paths exceed the 2^{SUBSET_LIMIT} guard")
+    return ids
+
+
+class _Dominance:
+    """Rates and the three columns of their filter keys (``_filter_keys``);
+    rows past the last rate hold NaN, which passes no filter."""
+
+    def __init__(self, rates: Sequence[AchievableRate] = ()):
+        self.rates = list(rates)
+        keys = np.array([_filter_keys(r) for r in self.rates], dtype=float).reshape(-1, 3)
+        self.keys = tuple(keys.T.copy())
+
+    def add(self, rate: AchievableRate) -> int:
+        """Index of ``rate``, appended."""
+        n = len(self.rates)
+        if n == len(self.keys[0]):
+            self.keys = tuple(np.concatenate([column, np.full(max(n, 16), np.nan)])
+                              for column in self.keys)
+        for column, key in zip(self.keys, _filter_keys(rate)):
+            column[n] = key
+        self.rates.append(rate)
+        return n
+
+    def candidates(self, j: int) -> np.ndarray:
+        """The indices that pass the filter as dominators of rate j (j among
+        them).  One row at a time keeps memory O(n)."""
+        return np.flatnonzero(_may_dominate(self.keys, [column[j] for column in self.keys]))
+
+    def undominated(self, j: int) -> bool:
+        rates, target = self.rates, self.rates[j].service
+        return not any(i != j and dominates(rates[i].service, target) for i in self.candidates(j))
+
+
+def _filter_keys(rate: AchievableRate) -> tuple[float, float, float]:
+    service = rate.service
+    return (float(service.curve.value(0)), float(service.curve.final_slope),
+            float(service.bounding.value(0)))
+
+
+def _may_dominate(a, b):
+    """The candidate filter: whether filter keys ``a`` pass as a dominator
+    of ``b``.  Elementwise on arrays."""
+    return (a[0] >= b[0]) & (a[1] >= b[1]) & (a[2] <= b[2] + 1e-12)
+
+
 def _undominated(rates: Sequence[AchievableRate]) -> list[AchievableRate]:
-    """The rates no other rate ``dominates``, in their given order; see the
-    module docstring for the candidate filter.  One row at a time keeps
-    memory O(n)."""
-    v0 = np.array([float(r.service.curve.value(0)) for r in rates])
-    slope = np.array([float(r.service.curve.final_slope) for r in rates])
-    b0 = np.array([float(r.service.bounding.value(0)) for r in rates])
-    kept = []
-    for j, r in enumerate(rates):
-        candidates = np.flatnonzero((v0 >= v0[j]) & (slope >= slope[j]) & (b0 <= b0[j] + 1e-12))
-        if not any(i != j and dominates(rates[i].service, r.service) for i in candidates):
-            kept.append(r)
-    return kept
+    """The rates no other rate ``dominates``, in their given order."""
+    pool = _Dominance(rates)
+    return [r for j, r in enumerate(rates) if pool.undominated(j)]
 
 
 def dominates(a: IssSpec, b: IssSpec) -> bool:
@@ -328,10 +390,10 @@ def _bounding_le(f, g) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _path_order(s: Scenario, subset: Sequence[str]) -> list[str]:
+def _path_order(ctx: _Context, subset: Sequence[str]) -> list[str]:
     # ordered by standalone service rate; in-subset impaired rates would
     # reorder tied paths and break the published assignment pattern
-    return sorted(subset, key=lambda pid: (-s.path(pid).standalone_rate, pid))
+    return sorted(subset, key=lambda pid: (-ctx.standalone[pid], pid))
 
 
 def _path_check(arrival, service, p: float, delay: float) -> GuaranteeReport | None:
@@ -358,7 +420,7 @@ def _pack(ctx: _Context, subset: Sequence[str],
     remaining = list(ctx.order())
     assignment: dict[str, str] = {}
     gates: dict[str, object] = {}
-    for pid in _path_order(ctx.s, subset):
+    for pid in _path_order(ctx, subset):
         if not remaining:
             break
         key, service = ctx.service(active, pid)
@@ -403,13 +465,147 @@ def feasible_rates(s: Scenario, prune: bool = False,
                    bounding_overrides: Mapping[str, tuple[float, float]] | None = None,
                    *, ctx: _Context | None = None) -> list[AchievableRate]:
     """RateCal output filtered to rates at or above the total arrival rate of
-    the source set, sorted by decreasing rate (ties by subset id)."""
-    ctx = ctx or _Context(s, bounding_overrides)
+    the source set, sorted by decreasing rate; among equal rates each subset
+    comes after every subset that dominates it, and otherwise by subset id."""
+    _listing_guard(s)
+    return [rate for group in _best_first(ctx or _Context(s, bounding_overrides), prune)
+            for rate in (group if prune else _dominators_first(group))]
+
+
+def _rate_bound(standalone: Sequence[float]) -> float:
+    """Upper bound on the rate of a subset whose paths have these (float)
+    standalone rates: their exactly rounded sum, as ``parallel`` sums float
+    rates, plus a slack (see ``_best_first``)."""
+    total = math.fsum(standalone)
+    return total + 4 * MERGE_TOL * max(1.0, total)
+
+
+def _best_first(ctx: _Context, prune: bool) -> Iterator[list[AchievableRate]]:
+    """The equal-rate groups of ``feasible_rates`` by decreasing rate, each in
+    subset order, building a subset's service only once its rate bound is
+    the largest left.
+
+    Impairment only subtracts, so a subset's rate is at most the sum of its
+    paths' standalone rates, summed as ``parallel`` sums them; the slack of
+    ``_rate_bound`` covers a last knee that a curve merges within
+    ``MERGE_TOL``, keeping the slope before it.  With the paths sorted by
+    standalone rate, a subset is the set of paths it leaves out, and Lawler's
+    k-best scheme expands those sets in nonincreasing bound order: each
+    popped set pushes itself plus the next path (add-next) and itself with
+    its last path replaced by the next (replace-with-next), neither of which
+    raises the bound.  Expansion stops below the sources' total rate.
+
+    A built subset waits in a heap keyed by ``(-float(rate), subset)`` and
+    goes out once its rate is strictly above every bound not yet popped.  No
+    unbuilt subset can then tie with it, so its whole equal-rate group goes
+    out together: with ``prune``, the members that no built subset
+    dominates (a dominator's rate is at least the dominated one's, so it has
+    been built, and no two members left dominate each other); otherwise all
+    members, for ``_dominators_first`` to order.
+
+    Raises ``SubsetLimitExceeded`` before building more than
+    2^``SUBSET_LIMIT`` - 1 subsets."""
+    s = ctx.s
+    ids = s.path_ids()
     total = ctx.arrival(s.sources).asymptotic_rate
-    rates = [r for r in ratecal(s, prune, bounding_overrides, ctx=ctx)
-             if r.service.asymptotic_rate >= total]
-    rates.sort(key=lambda r: (-float(r.service.asymptotic_rate), r.subset))
-    return rates
+    by_rate = sorted(ids, key=lambda pid: (ctx.standalone[pid], pid))
+    standalone = [ctx.standalone[pid] for pid in by_rate]
+
+    def push(left_out: tuple[int, ...]) -> None:
+        kept = list(standalone)
+        for i in reversed(left_out):
+            del kept[i]
+        heapq.heappush(frontier, (-_rate_bound(kept), left_out))
+
+    frontier: list[tuple[float, tuple[int, ...]]] = []
+    push(())
+    built: list[tuple[float, tuple[str, ...], int, AchievableRate]] = []
+    pool = _Dominance() if prune else None
+    expanded = 0
+    while True:
+        top = -frontier[0][0] if frontier and -frontier[0][0] >= total else None
+        while built and (top is None or -built[0][0] > top):
+            group = [heapq.heappop(built)]
+            while built and built[0][0] == group[0][0]:
+                group.append(heapq.heappop(built))
+            yield [rate for _, _, j, rate in group if not prune or pool.undominated(j)]
+        if top is None:
+            return
+        left_out = heapq.heappop(frontier)[1]
+        k = left_out[-1] + 1 if left_out else 0
+        if k < len(by_rate):
+            push(left_out + (k,))
+            if left_out:
+                push(left_out[:-1] + (k,))
+        gone = [by_rate[i] for i in left_out]
+        subset = tuple([pid for pid in ids if pid not in gone])
+        if not subset:
+            continue
+        if expanded == 2 ** SUBSET_LIMIT - 1:
+            raise SubsetLimitExceeded(f"{expanded} subsets built without an answer "
+                                      f"(the 2^{SUBSET_LIMIT} guard)")
+        expanded += 1
+        service = subset_service(s, subset, ctx.overrides, ctx=ctx)
+        if service.asymptotic_rate >= total:
+            rate = AchievableRate(subset, service)
+            j = pool.add(rate) if prune else -1
+            heapq.heappush(built, (-float(service.asymptotic_rate), subset, j, rate))
+
+
+def _dominators_first(group: list[AchievableRate]) -> list[AchievableRate]:
+    """One equal-rate group, given in subset order, with each member after
+    every member that dominates it and otherwise in subset order.
+
+    Members with equal services dominate the same members, so the dominance
+    tests run on one head per service.  Kahn's algorithm then emits the
+    smallest subset among the members whose service no service left
+    dominates; a service leaves with its last member.  A waiting service
+    keeps one dominator left as its witness and looks for another only once
+    that one has left, trying its filter candidates nearest value at 0
+    first and each at most once."""
+    services: dict[IssSpec, list[AchievableRate]] = {}
+    for rate in group:
+        services.setdefault(rate.service, []).append(rate)
+    if len(services) == 1:
+        return group
+    same = list(services.values())
+    heads = [rates[0].service for rates in same]
+    keys = [_filter_keys(rates[0]) for rates in same]
+    nearest = sorted(range(len(same)), key=lambda i: keys[i][0])
+
+    def candidates(h: int) -> Iterator[int]:
+        return (i for i in nearest if i != h and _may_dominate(keys[i], keys[h]))
+
+    untried = [candidates(h) for h in range(len(same))]
+    gone = [0] * len(same)  # members of each service already out
+    waiting: dict[int, list[int]] = {}
+    ready: list[tuple[tuple[str, ...], int]] = []  # (next member's subset, service)
+
+    def settle(h: int) -> None:
+        witness = next((i for i in untried[h]
+                        if gone[i] < len(same[i]) and dominates(heads[i], heads[h])), None)
+        if witness is None:
+            heapq.heappush(ready, (same[h][0].subset, h))
+        else:
+            waiting.setdefault(witness, []).append(h)
+
+    for h in range(len(same)):
+        settle(h)
+    order = []
+    while ready:
+        h = ready[0][1]
+        k = gone[h]
+        # no service gets ready before one leaves, so a service ready alone
+        # sends all its members out at once
+        gone[h] = len(same[h]) if len(ready) == 1 else k + 1
+        order += same[h][k:gone[h]]
+        if gone[h] < len(same[h]):
+            heapq.heapreplace(ready, (same[h][gone[h]].subset, h))
+        else:
+            heapq.heappop(ready)
+            for waiter in waiting.pop(h, ()):
+                settle(waiter)
+    return order
 
 
 def bflr(s: Scenario, delay: float, p: float, prune: bool = False,
@@ -417,15 +613,30 @@ def bflr(s: Scenario, delay: float, p: float, prune: bool = False,
          ) -> Schedule | Infeasible:
     """Search for a feasible transmission schedule.
 
-    Tries the achievable subsets in decreasing-rate order and returns the
+    Tries the achievable subsets in ``feasible_rates`` order and returns the
     first feasible best-fit/largest-redundancy packing; ``Infeasible`` after
-    all subsets have been checked.
+    all of them have been tried.  Subsets are built best-first by the bound
+    on their rate (``_best_first``), so a subset is built only when its bound
+    still reaches the rate of the next subset to try: a feasible answer
+    usually stops after a few subsets.  An equal-rate group is packed whole
+    and put in order only when two of its members are feasible, so an
+    infeasible answer never orders ties.  It still tries every subset whose
+    rate reaches the sources' total rate, because the greedy packing is not
+    monotone in the subset.  ``SubsetLimitExceeded`` is raised only after
+    2^``SUBSET_LIMIT`` - 1 subsets were built, so a scenario of more paths
+    gets an early answer.
     """
     ctx = _Context(s, bounding_overrides)
-    for rate in feasible_rates(s, prune, bounding_overrides, ctx=ctx):
-        result = schedule_subset(s, rate.subset, delay, p, bounding_overrides, ctx=ctx)
-        if isinstance(result, Schedule):
-            return result
+    for group in _best_first(ctx, prune):
+        found = {}
+        for rate in group:
+            result = schedule_subset(s, rate.subset, delay, p, bounding_overrides, ctx=ctx)
+            if isinstance(result, Schedule):
+                found[rate.subset] = result
+        if len(found) > 1 and not prune:
+            group = _dominators_first(group)
+        if found:
+            return next(found[rate.subset] for rate in group if rate.subset in found)
     return Infeasible()
 
 

@@ -34,12 +34,19 @@ from infocalc.curves import Curve
 from infocalc.errors import SubsetLimitExceeded, UnreachableRatio, ValidationError
 from infocalc.scenario import (
     PAPER_TABLE1_BOUNDINGS,
+    ImpairmentEntry,
     Node,
     Path,
     Scenario,
     effective_path_service,
 )
-from infocalc.sources import SpatialModel, aggregate_information, aggregate_rate
+from infocalc.sources import (
+    SourceModel,
+    SpatialModel,
+    aggregate_information,
+    aggregate_rate,
+    calibrate_sigma2,
+)
 
 R = 8000.0
 PINNED_RATIOS = FsPath(__file__).parent / "data" / "ratio_paired_six.json"
@@ -356,11 +363,24 @@ def reference_ratecal(s, prune, overrides):
 
 
 def reference_feasible_rates(s, prune, overrides):
+    """The above-rate subsets of ``reference_ratecal`` by decreasing rate; in
+    each equal-rate group, the smallest subset that no member left
+    dominates goes next."""
     total = aggregate_information(list(s.sources), s.spatial).asymptotic_rate
     rates = [r for r in reference_ratecal(s, prune, overrides)
              if r.service.asymptotic_rate >= total]
     rates.sort(key=lambda r: (-float(r.service.asymptotic_rate), r.subset))
-    return rates
+    ordered = []
+    for _, group in itertools.groupby(rates, key=lambda r: float(r.service.asymptotic_rate)):
+        left = list(group)
+        above = {id(r): {id(o) for o in left if o is not r and dominates(o.service, r.service)}
+                 for r in left}
+        while left:
+            free = {id(r) for r in left}
+            nxt = next(r for r in left if not above[id(r)] & free)
+            ordered.append(nxt)
+            left.remove(nxt)
+    return ordered
 
 
 def reference_table(s, delay, p, prune, overrides):
@@ -555,3 +575,109 @@ class TestPrune:
         # 58 calls measured for 63 subsets; the all-pairs scan makes 2,005
         assert calls <= 200
         assert kept == reference_prune(ratecal(s))
+
+
+# ---------------------------------------------------------------------------
+# Best-first subset search
+# ---------------------------------------------------------------------------
+
+
+def tie_scenario() -> Scenario:
+    """P1 alone and P0+P1 both serve 12,000 bit/s: inside P0+P1 the
+    impairment takes from P1 what P0 adds.  P1 alone has the higher curve
+    and the smaller bound, so it dominates P0+P1, which comes first by
+    subset id."""
+    paths = (Path("P0", (Node("P0.n0", 1.0, 1.0, 6000.0, 0.01),
+                         Node("P0.n1", 1.0, 2.0, 4000.0, 0.02))),
+             Path("P1", (Node("P1.n0", 1.0, 2.0, 12000.0, 0.01),)))
+    impairments = (ImpairmentEntry(("P0", 1), ("P1", 0), 3.0, 4.0, 0.25, None, 0.0075),)
+    source = SourceModel("S0.0", calibrate_sigma2(1800.0, 0.1, 100.0), 100.0, 0.1, "g0")
+    return Scenario((source,), SpatialModel({"g0": {2: 1.9, 3: 2.7}}), paths, impairments)
+
+
+def search_cases(case_study, case_study_exact):
+    """(name, scenario, overrides) for the best-first search tests."""
+    cases = [("case_study", case_study, None),
+             ("paper_table1", case_study, PAPER_TABLE1_BOUNDINGS),
+             ("exact", case_study_exact, None),
+             ("exact_paper_table1", case_study_exact, PAPER_TABLE1_BOUNDINGS),
+             ("paired_six", paired_six_paths(case_study), None),
+             ("kpath8", kpath(case_study, 8), None),
+             ("kpath10", kpath(case_study, 10), None),
+             ("tie", tie_scenario(), None)]
+    return cases + [(f"random{seed}", random_scenario(np.random.default_rng(seed)), None)
+                    for seed in range(30)]
+
+
+class TestBestFirst:
+    @pytest.fixture(scope="class")
+    def cases(self, case_study, case_study_exact):
+        return search_cases(case_study, case_study_exact)
+
+    @pytest.fixture(scope="class")
+    def references(self, cases):
+        """(name, prune) -> ``reference_feasible_rates``, computed once."""
+        return {(name, prune): reference_feasible_rates(s, prune, overrides)
+                for name, s, overrides in cases for prune in (False, True)}
+
+    def test_bound_is_admissible(self, cases):
+        for name, s, overrides in cases:
+            standalone = {path.id: path.standalone_rate for path in s.paths}
+            for rate in ratecal(s, bounding_overrides=overrides):
+                bound = algorithms._rate_bound([standalone[pid] for pid in rate.subset])
+                assert bound >= float(rate.service.asymptotic_rate), (name, rate.subset)
+
+    @pytest.mark.parametrize("prune", [False, True])
+    def test_stream_equals_full_enumeration(self, cases, references, prune):
+        for name, s, overrides in cases:
+            assert feasible_rates(s, prune, overrides) == references[name, prune], name
+
+    @pytest.mark.parametrize("prune", [False, True])
+    def test_answers_equal_full_enumeration(self, cases, references, prune):
+        for name, s, overrides in cases:
+            ctx = algorithms._Context(s, overrides)
+            reference = [(r.subset, schedule_subset(s, r.subset, 0.035, 1e-3, ctx=ctx))
+                         for r in references[name, prune]]
+            assert repr(bflr_table(s, 0.035, 1e-3, prune, overrides)) == repr(reference), name
+            first = next((result for _, result in reference if isinstance(result, Schedule)),
+                         Infeasible())
+            assert repr(bflr(s, 0.035, 1e-3, prune, overrides)) == repr(first), name
+
+    def test_feasible_answer_builds_few_subsets(self, case_study, monkeypatch):
+        s = kpath(case_study, 10)
+        calls = 0
+        original = algorithms.subset_service
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(algorithms, "subset_service", counted)
+        result = bflr(s, 0.035, 1e-3)
+        assert result.subset == tuple(s.path_ids())
+        # 56 measured; building every subset first made 1,023
+        assert calls <= 64
+
+    def test_rate_tie_tries_the_dominator_first(self):
+        s = tie_scenario()
+        services = {r.subset: r.service for r in ratecal(s)}
+        alone, both = services[("P1",)], services[("P0", "P1")]
+        assert alone.asymptotic_rate == both.asymptotic_rate
+        assert dominates(alone, both)
+        # ordered by subset id, P0+P1 would be tried first, and it is feasible
+        assert isinstance(schedule_subset(s, ("P0", "P1"), 0.035, 1e-3), Schedule)
+        assert [r.subset for r in feasible_rates(s)][:2] == [("P1",), ("P0", "P1")]
+        assert bflr(s, 0.035, 1e-3, prune=False) == bflr(s, 0.035, 1e-3, prune=True)
+        assert bflr(s, 0.035, 1e-3).subset == ("P1",)
+
+    def test_subset_guard_spares_an_early_answer(self, case_study):
+        paths = tuple(Path(f"P{k}", (Node(f"n{k}", 1.0, 1.0, R, 0.0),)) for k in range(26))
+        s = Scenario(case_study.sources, case_study.spatial, paths, ())
+        result = bflr(s, 0.05, 1e-3)
+        assert isinstance(result, Schedule)
+        assert result.subset == tuple(s.path_ids())
+        for listing in (lambda: ratecal(s), lambda: feasible_rates(s),
+                        lambda: bflr_table(s, 0.05, 1e-3)):
+            with pytest.raises(SubsetLimitExceeded):
+                listing()
