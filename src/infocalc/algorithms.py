@@ -59,12 +59,24 @@ Most of that work repeats across subsets, so every public call (``ratecal``,
 ``feasible_rates``, ``bflr``, ``bflr_table``, ``delivery_ratio``,
 ``delivery_ratio_table``, ``calibrate_horizon``) builds one ``_Context`` for
 its (scenario, ``bounding_overrides``) pair and passes it down.
-``delivery_ratio_table`` answers all its subsets on one context.  The
-context memoizes, in plain dicts:
+``delivery_ratio_table`` answers all its subsets on one context.  Many paths
+have equal services (on the ten-path benchmark scenario, 20 (path,
+partners) keys give 8 services, and the 968 above-rate subsets 183
+multisets of them), so the context shares work between equal services, not
+only between equal keys.  It memoizes, in plain dicts:
 
 * path services, keyed by ``(path id, frozenset(active partners))``, where
   the partners of a path are the paths sharing an impairment entry with it;
   nothing else about the subset changes a path's service;
+* service ids: each path service is interned by its value, and an equal
+  service shares the first one's id only when its clipping flag and the
+  repr of each of its numbers match too (``_numbers``: an equal Fraction,
+  int or -0.0 computes differently); everything below keys on the id,
+  which stands for the value;
+* subset services (``parallel``), keyed by the sorted tuple of the subset's
+  service ids: with Exp and Zero bounds only, ``parallel`` gives the same
+  bits in any order.  A service with any other bound keeps the subset's
+  order in the key, because its convolution fold is not order-free;
 * each source's Gaussian rate and the rate-sorted source order;
 * ``aggregate_information`` results, keyed by the set of source ids;
 * fused rates (``aggregate_rate``), keyed by the set of source ids;
@@ -72,8 +84,12 @@ context memoizes, in plain dicts:
   list order, because the redundancy sums floats in that order; a marginal
   redundancy rate is the difference of two of them, as in
   ``marginal_redundancy_rate``;
-* path checks, keyed by the fused source ids, the path's service key, the
-  delay and the violation probability.
+* path checks, keyed by the fused source ids, the service id, the delay and
+  the violation probability;
+* packing steps (``_Context.step``), keyed by the gate (``("delay", p,
+  delay)`` or ``("rate",)``), the bitmask of the sources still left over
+  the source order, and the service id: one path's greedy step reads
+  nothing else.
 
 Each memo key holds everything its value depends on besides the scenario
 and overrides, so sharing a context between queries changes no answer:
@@ -93,7 +109,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -177,22 +193,54 @@ class _Context:
         self.partners = {pid: s.partners(pid) for pid in s.path_ids()}
         self.standalone = {path.id: path.standalone_rate for path in s.paths}
         self.sources = {src.id: src for src in s.sources}
-        self._services: dict[tuple, IssSpec] = {}
+        self.specs: list[IssSpec] = []  # service id -> path service
+        self._service_ids: dict[tuple, int] = {}
+        self._interned: dict[IssSpec, int] = {}  # first id of each value
+        self._ordered: set[int] = set()  # ids whose bound makes ``parallel`` order-dependent
+        self._parallels: dict[tuple[int, ...], IssSpec] = {}
+        self._steps: dict[tuple, tuple[int, tuple[str, ...], object]] = {}
         self._rates: dict[str, float] = {}
         self._order: tuple[SourceModel, ...] | None = None
+        self._bits: dict[str, int] = {}
         self._arrivals: dict[frozenset, IsaSpec] = {}
         self._fused: dict[frozenset, float] = {}
         self._redundancy: dict[tuple, float] = {}
         self._checks: dict[tuple, GuaranteeReport | None] = {}
 
-    def service(self, active: set[str], pid: str) -> tuple[tuple, IssSpec]:
-        """Service key and impaired service of ``pid`` inside ``active``."""
+    def service(self, active: set[str], pid: str) -> tuple[int, IssSpec]:
+        """Service id and impaired service of ``pid`` inside ``active``.
+
+        Paths whose services are equal as values (numbers of the same type
+        and sign included) share one id, so they share compositions, delay
+        checks and packing steps."""
         key = (pid, self.partners.get(pid, frozenset()) & active)
-        spec = self._services.get(key)
+        sid = self._service_ids.get(key)
+        if sid is None:
+            sid = self._service_ids[key] = self._intern(
+                effective_path_service(self.s, active, pid, self.overrides))
+        return sid, self.specs[sid]
+
+    def _intern(self, spec: IssSpec) -> int:
+        new = len(self.specs)
+        sid = self._interned.setdefault(spec, new)
+        if sid != new and _numbers(self.specs[sid]) == _numbers(spec):
+            return sid
+        self.specs.append(spec)
+        if not isinstance(spec.bounding, (ExpBound, ZeroBound)):
+            self._ordered.add(new)
+        return new
+
+    def parallel(self, sids: Sequence[int]) -> IssSpec:
+        """``parallel`` of the services with these ids, memoized on their
+        multiset: with Exp and Zero bounds only, it gives the same bits in
+        any order.  Other bounds convolve in list order, so a list holding
+        one keeps its order in the key."""
+        ordered = self._ordered and not self._ordered.isdisjoint(sids)
+        key = tuple(sids) if ordered else tuple(sorted(sids))
+        spec = self._parallels.get(key)
         if spec is None:
-            spec = self._services[key] = effective_path_service(self.s, active, pid,
-                                                                self.overrides)
-        return key, spec
+            spec = self._parallels[key] = parallel([self.specs[sid] for sid in key])
+        return spec
 
     def rate(self, src: SourceModel) -> float:
         rate = self._rates.get(src.id)
@@ -204,7 +252,12 @@ class _Context:
         """Sources by decreasing Gaussian rate, ties by id."""
         if self._order is None:
             self._order = tuple(sorted(self.s.sources, key=lambda src: (-self.rate(src), src.id)))
+            self._bits = {src.id: 1 << i for i, src in enumerate(self._order)}
         return self._order
+
+    def left_over(self, left: int) -> list[SourceModel]:
+        """The sources of the bitmask ``left`` over ``order()``, in that order."""
+        return [src for i, src in enumerate(self.order()) if left >> i & 1]
 
     def arrival(self, sources: Sequence[SourceModel]) -> IsaSpec:
         key = frozenset(src.id for src in sources)
@@ -240,16 +293,69 @@ class _Context:
         return min(remaining, key=lambda src: (-(self.redundancy(ids + (src.id,)) - base),
                                                -self.rate(src), src.id))
 
-    def check(self, fused: list[SourceModel], service_key: tuple, service: IssSpec,
+    def check(self, fused: list[SourceModel], sid: int,
               p: float, delay: float) -> GuaranteeReport | None:
-        """Stochastic delay-bound certificate of one path for one fused set,
-        or None; a fused rate not below the service rate fails before any
-        curve is built."""
-        key = (frozenset(src.id for src in fused), service_key, delay, p)
+        """Stochastic delay-bound certificate of service ``sid`` for one fused
+        set, or None; a fused rate not below the service rate fails before
+        any curve is built."""
+        key = (frozenset(src.id for src in fused), sid, delay, p)
         if key not in self._checks:
+            service = self.specs[sid]
             self._checks[key] = (_path_check(self.arrival(fused), service, p, delay)
                                  if self.fused_rate(fused) < service.asymptotic_rate else None)
         return self._checks[key]
+
+    def fits(self, gate: tuple, fused: list[SourceModel], sid: int) -> object | None:
+        """The gate's value for ``fused`` on service ``sid``, None when it
+        fails: ``("delay", p, delay)`` is the delay certificate (``check``),
+        ``("rate",)`` whether the fused rate stays below the service rate."""
+        if gate[0] == "rate":
+            return self.fused_rate(fused) < self.specs[sid].asymptotic_rate or None
+        _, p, delay = gate
+        return self.check(fused, sid, p, delay)
+
+    def step(self, gate: tuple, left: int, sid: int) -> tuple[int, tuple[str, ...], object]:
+        """One path's packing step (``_pack``), memoized: the bitmask and the
+        ids, in order taken, of the sources that service ``sid`` takes from
+        the bitmask ``left``, and the last passing gate value; ``(0, (),
+        None)`` when it takes none."""
+        key = (gate, left, sid)
+        step = self._steps.get(key)
+        if step is None:
+            step = self._steps[key] = self._step(gate, left, sid)
+        return step
+
+    def _step(self, gate: tuple, left: int, sid: int) -> tuple[int, tuple[str, ...], object]:
+        remaining = self.left_over(left)
+        rate = self.specs[sid].asymptotic_rate
+        best = next((src for src in remaining if self.rate(src) < rate), None)
+        if best is None:
+            return 0, (), None
+        chosen = [best]
+        value = self.fits(gate, chosen, sid)
+        if value is None:
+            return 0, (), None
+        remaining.remove(best)
+        while remaining:
+            cand = self.next_by_redundancy(remaining, chosen)
+            trial = self.fits(gate, chosen + [cand], sid)
+            if trial is None:
+                break
+            chosen.append(cand)
+            remaining.remove(cand)
+            value = trial
+        ids = tuple(src.id for src in chosen)
+        return sum(map(self._bits.__getitem__, ids)), ids, value
+
+
+def _numbers(spec: IssSpec) -> tuple:
+    """What two equal services may still differ in: the clipping flag and,
+    through the reprs, the type or sign of a number (a Fraction, an int,
+    -0.0 each compute differently).  Equality compares a ``GridBound`` by
+    identity."""
+    bound = spec.bounding
+    return (spec.curve.unclipped, repr(spec.curve.segments),
+            repr(bound.params()) if isinstance(bound, ExpBound) else None)
 
 
 def _active(subset: Sequence[str]) -> set[str]:
@@ -270,10 +376,11 @@ def _active(subset: Sequence[str]) -> set[str]:
 def subset_service(s: Scenario, subset: Sequence[str],
                    bounding_overrides: Mapping[str, tuple[float, float]] | None = None,
                    *, ctx: _Context | None = None) -> IssSpec:
-    """Parallel composition of the subset's impaired end-to-end paths."""
+    """Parallel composition of the subset's impaired end-to-end paths,
+    computed once per multiset of path services on ``ctx``."""
     ctx = ctx or _Context(s, bounding_overrides)
     active = _active(subset)
-    return parallel([ctx.service(active, pid)[1] for pid in subset])
+    return ctx.parallel([ctx.service(active, pid)[0] for pid in subset])
 
 
 def ratecal(s: Scenario, prune: bool = False,
@@ -406,45 +513,29 @@ def _path_check(arrival, service, p: float, delay: float) -> GuaranteeReport | N
     return report if report.derived_quantile <= delay else None
 
 
-def _pack(ctx: _Context, subset: Sequence[str],
-          fits: Callable[[list[SourceModel], tuple, IssSpec], object | None],
+def _pack(ctx: _Context, subset: Sequence[str], gate: tuple,
           ) -> tuple[dict[str, str], dict[str, object], list[SourceModel]]:
     """Best-fit/largest-redundancy packing of all sources onto one subset.
 
     Each path, in ``_path_order``, takes the fastest remaining source below
     its rate and grows the fused set by largest marginal redundancy while
-    ``fits(fused, service_key, service)`` is not None.  Returns the
-    assignment, the last passing ``fits`` value per used path and the
-    sources left over."""
+    the gate (``_Context.fits``) holds.  A path's step depends only on the
+    gate, the sources left and the path's service, so it is one memoized
+    ``_Context.step``.  Returns the assignment, the last passing gate value
+    per used path and the sources left over."""
     active = _active(subset)
-    remaining = list(ctx.order())
+    left = (1 << len(ctx.order())) - 1
     assignment: dict[str, str] = {}
     gates: dict[str, object] = {}
     for pid in _path_order(ctx, subset):
-        if not remaining:
+        if not left:
             break
-        key, service = ctx.service(active, pid)
-        best = next((src for src in remaining
-                     if ctx.rate(src) < service.asymptotic_rate), None)
-        if best is None:
-            continue
-        chosen = [best]
-        gate = fits(chosen, key, service)
-        if gate is None:
-            continue
-        remaining.remove(best)
-        while remaining:
-            cand = ctx.next_by_redundancy(remaining, chosen)
-            trial = fits(chosen + [cand], key, service)
-            if trial is None:
-                break
-            chosen.append(cand)
-            remaining.remove(cand)
-            gate = trial
-        for src in chosen:
-            assignment[src.id] = pid
-        gates[pid] = gate
-    return assignment, gates, remaining
+        taken, ids, value = ctx.step(gate, left, ctx.service(active, pid)[0])
+        if taken:
+            left ^= taken
+            assignment.update(dict.fromkeys(ids, pid))
+            gates[pid] = value
+    return assignment, gates, ctx.left_over(left)
 
 
 def schedule_subset(s: Scenario, subset: Sequence[str], delay: float, p: float,
@@ -453,8 +544,7 @@ def schedule_subset(s: Scenario, subset: Sequence[str], delay: float, p: float,
     """Best-fit/largest-redundancy packing of all sources onto one subset,
     each path gated by its stochastic delay bound."""
     ctx = ctx or _Context(s, bounding_overrides)
-    assignment, certificates, remaining = _pack(
-        ctx, subset, lambda fused, key, service: ctx.check(fused, key, service, p, delay))
+    assignment, certificates, remaining = _pack(ctx, subset, ("delay", p, delay))
     if remaining:
         return Infeasible(f"sources left unassigned on subset {tuple(subset)}: "
                           f"{sorted(src.id for src in remaining)}")
@@ -676,9 +766,7 @@ def delivery_ratio(s: Scenario, schedule_or_subset, delay: float, p: float, hori
         leftovers = [src for src in s.sources if src.id not in assignment]
     else:
         subset = tuple(schedule_or_subset)
-        assignment, _, leftovers = _pack(
-            ctx, subset,
-            lambda fused, key, service: ctx.fused_rate(fused) < service.asymptotic_rate or None)
+        assignment, _, leftovers = _pack(ctx, subset, ("rate",))
 
     by_path: dict[str, list[SourceModel]] = {}
     for src in s.sources:
@@ -690,8 +778,8 @@ def delivery_ratio(s: Scenario, schedule_or_subset, delay: float, p: float, hori
     combined = ZeroBound()
     full_paths = []
     for pid in sorted(by_path):
-        key, service = ctx.service(active, pid)
-        if ctx.check(by_path[pid], key, service, p, delay) is not None:
+        sid, service = ctx.service(active, pid)
+        if ctx.check(by_path[pid], sid, p, delay) is not None:
             full_paths.append(pid)
             continue
         arrival = ctx.arrival(by_path[pid])

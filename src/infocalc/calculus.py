@@ -180,8 +180,13 @@ def parallel(servers: list[IssSpec]) -> IssSpec:
     """Work-conserving parallel servers behind a weighted information
     splitter: envelopes add pointwise, bounds compose by convolution.
 
-    Sums are accumulated order-stably, so any permutation of the server
-    list yields an identical result."""
+    The envelope and, when every bound is an ``ExpBound`` or a
+    ``ZeroBound``, the bound are sums taken exactly (ints and Fractions) or
+    exactly rounded (``math.fsum``), so any permutation of such servers
+    gives the same result bit for bit.  Other bounds fold with
+    ``bf_convolve`` in list order, and float addition is not associative:
+    three ``GridBound`` servers give three different bounds over their six
+    orders."""
     if not servers:
         raise ValueError("parallel needs at least one server")
     points = sorted({t for srv in servers for t in srv.curve.breakpoints()})

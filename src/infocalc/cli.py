@@ -62,10 +62,12 @@ def _emit(args, rows: list[dict], table_lines: list[str]) -> None:
         print(json.dumps(rows, indent=2, sort_keys=True))
     elif args.format == "csv":
         if rows:
-            keys = list(rows[0])
+            # a column missing from some rows (an infeasible row has no
+            # delay quantiles) stays empty there
+            keys = list(dict.fromkeys(k for r in rows for k in r))
             print(",".join(keys))
             for r in rows:
-                print(",".join(str(r[k]) for k in keys))
+                print(",".join(str(r.get(k, "")) for k in keys))
     else:
         for line in table_lines:
             print(line)

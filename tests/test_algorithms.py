@@ -681,3 +681,153 @@ class TestBestFirst:
                         lambda: bflr_table(s, 0.05, 1e-3)):
             with pytest.raises(SubsetLimitExceeded):
                 listing()
+
+
+# ---------------------------------------------------------------------------
+# Equal path services share compositions, delay checks and packing steps
+# ---------------------------------------------------------------------------
+
+
+def unshare(monkeypatch):
+    """Turn the context's sharing off: one service id per (path, partners)
+    key, ``parallel`` per subset in subset order, every packing step
+    computed."""
+    ctx_class = algorithms._Context
+    monkeypatch.setattr(ctx_class, "_intern",
+                        lambda ctx, spec: ctx.specs.append(spec) or len(ctx.specs) - 1)
+    monkeypatch.setattr(ctx_class, "parallel",
+                        lambda ctx, sids: algorithms.parallel([ctx.specs[sid] for sid in sids]))
+    monkeypatch.setattr(ctx_class, "step", ctx_class._step)
+
+
+def sharing_answers(s, overrides, cells):
+    """repr of every listing and answer: ``ratecal``, ``feasible_rates``,
+    ``bflr`` and ``bflr_table`` with ``prune`` both ways at each cell, and
+    ``delivery_ratio_table`` over the above-rate subsets at each cell."""
+    out = []
+    for prune in (False, True):
+        out += [ratecal(s, prune, overrides), feasible_rates(s, prune, overrides)]
+        for delay, p in cells:
+            out += [bflr(s, delay, p, prune, overrides), bflr_table(s, delay, p, prune, overrides)]
+    subsets = [r.subset for r in feasible_rates(s, False, overrides)]
+    for delay, p in cells:
+        out.append(delivery_ratio_table(s, subsets, delay, p, 0.06, overrides))
+    return repr(out)
+
+
+def grid_service(xs, ys, rate) -> IssSpec:
+    return IssSpec(GridBound(xs, ys), Curve.affine(rate, -60.0))
+
+
+class TestSharedServices:
+    @pytest.fixture(scope="class")
+    def cases(self, case_study, case_study_exact):
+        """(name, scenario, overrides, (delay, p) cells): one feasible and
+        one infeasible cell each."""
+        cells = [(0.035, 1e-3), (0.005, 1e-3)]
+        cases = [("case_study", case_study, None, cells),
+                 ("paper_table1", case_study, PAPER_TABLE1_BOUNDINGS, cells),
+                 ("exact", case_study_exact, None, cells),
+                 ("exact_paper_table1", case_study_exact, PAPER_TABLE1_BOUNDINGS, cells),
+                 ("paired_six", paired_six_paths(case_study), None, cells),
+                 ("kpath8", kpath(case_study, 8), None, [(0.035, 1e-3), (0.0021, 1e-3)]),
+                 ("kpath10", kpath(case_study, 10), None, [(0.035, 1e-3), (0.0021, 1e-3)])]
+        return cases + [(f"random{seed}", random_scenario(np.random.default_rng(seed)), None,
+                         cells) for seed in range(30)]
+
+    def test_answers_equal_unshared(self, cases):
+        shared = {name: sharing_answers(s, overrides, cells)
+                  for name, s, overrides, cells in cases}
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            unshare(monkeypatch)
+            for name, s, overrides, cells in cases:
+                assert shared[name] == sharing_answers(s, overrides, cells), name
+
+    def test_one_context_across_cells_and_gates(self, case_study):
+        # library callers may pass one context to several cells and to both
+        # gates; a memo key missing the gate or the cell would show here
+        s = paired_six_paths(case_study)
+        ids = s.path_ids()
+        subsets = [c for k in range(1, len(ids) + 1) for c in itertools.combinations(ids, k)]
+        ctx = algorithms._Context(s, None)
+
+        def answers(ctx):
+            out = []
+            for delay, p in [(0.035, 1e-3), (0.005, 1e-3), (0.035, 1e-4), (0.015, 0.15)]:
+                for subset in subsets:
+                    out += [schedule_subset(s, subset, delay, p, ctx=ctx),
+                            delivery_ratio(s, subset, delay, p, 0.06, ctx=ctx)]
+            return repr(out)
+
+        assert answers(ctx) == answers(None)
+
+    def test_grid_bound_services_keep_their_order(self, case_study, monkeypatch):
+        # P0 and P3 have one GridBound service, so P1+P2+P3 holds the
+        # services of P0+P1+P2 in another order, and the convolution fold
+        # of three grids depends on the order
+        a = grid_service([0.0, 0.1, 0.3], [1.0, 0.4, 0.0], 8000.0)
+        b = grid_service([0.0, 0.07, 0.2], [0.9, 0.3, 0.05], 6000.0)
+        c = grid_service([0.0, 0.25], [0.8, 0.0], 4000.0)
+        pool = {"P0": a, "P1": b, "P2": c, "P3": a}
+        bounds = {order: algorithms.parallel(list(order)).bounding for order in [(a, b, c), (b, c, a)]}
+        assert not np.array_equal(bounds[a, b, c].ys, bounds[b, c, a].ys)
+        paths = tuple(Path(f"P{k}", (Node(f"P{k}.n0", 1.0, 1.0, R, 0.0075),)) for k in range(4))
+        s = Scenario(case_study.sources, case_study.spatial, paths, ())
+        monkeypatch.setattr(algorithms, "effective_path_service",
+                            lambda s, active, pid, overrides=None: pool[pid])
+        rates = ratecal(s)
+        assert len(rates) == 15
+        for rate in rates:
+            expected = algorithms.parallel([pool[pid] for pid in rate.subset])
+            assert rate.service.curve == expected.curve, rate.subset
+            assert np.array_equal(rate.service.bounding.xs, expected.bounding.xs), rate.subset
+            assert np.array_equal(rate.service.bounding.ys, expected.bounding.ys), rate.subset
+
+    def test_equal_values_of_another_type_or_sign_stay_apart(self, case_study):
+        ctx = algorithms._Context(case_study, None)
+        services = [IssSpec(ExpBound(1.0, 1.0), Curve.affine(R, 0.0)),
+                    IssSpec(ExpBound(1.0, 1.0), Curve.affine(R, -0.0)),
+                    IssSpec(ExpBound(1.0, 1.0), Curve.affine(Fraction(8000), Fraction(0))),
+                    IssSpec(ExpBound(Fraction(1), 1.0), Curve.affine(R, 0.0))]
+        assert len(set(services)) == 1
+        assert [ctx._intern(spec) for spec in services] == [0, 1, 2, 3]
+        assert ctx._intern(IssSpec(ExpBound(1.0, 1.0), Curve.affine(R, 0.0))) == 0
+
+    def test_one_parallel_per_multiset(self, case_study, monkeypatch):
+        s = kpath(case_study, 10)
+        calls = 0
+        original = algorithms.parallel
+
+        def counted(servers):
+            nonlocal calls
+            calls += 1
+            return original(servers)
+
+        monkeypatch.setattr(algorithms, "parallel", counted)
+        table = bflr_table(s, 0.035, 1e-3)
+        # the 968 above-rate subsets hold 183 multisets of 8 distinct path
+        # services (20 (path, partners) keys); one composition per subset
+        # made 968 calls
+        assert len(table) == 968
+        assert calls <= 183
+
+    def test_equal_services_share_delay_checks(self, case_study, monkeypatch):
+        # P0 and P1 are equal single nodes, each fast enough for every
+        # source: one service id, so a fused set's delay bound is computed
+        # once, not once per path
+        paths = tuple(Path(f"P{k}", (Node(f"P{k}.n0", 1.0, 1.0, 4 * R, 0.0075),))
+                      for k in range(2))
+        s = Scenario(case_study.sources, case_study.spatial, paths, ())
+        calls = Counter()
+        original = algorithms.delay_bound
+
+        def counted(arrival, service, p):
+            calls[arrival, p] += 1
+            return original(arrival, service, p)
+
+        monkeypatch.setattr(algorithms, "delay_bound", counted)
+        for delay, p in [(0.035, 1e-3), (0.005, 1e-3)]:
+            calls.clear()
+            table = bflr_table(s, delay, p)
+            assert [subset for subset, _ in table] == [("P0", "P1"), ("P0",), ("P1",)]
+            assert calls and set(calls.values()) == {1}

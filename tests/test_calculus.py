@@ -1,6 +1,7 @@
 """Composition operations: frozen reference values, properties, and a
 brute-force greedy-server simulation oracle for the deterministic case."""
 
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -270,6 +271,25 @@ class TestParallel:
         a = parallel(servers)
         b = parallel(servers[::-1])
         assert a.curve == b.curve and a.bounding == b.bounding
+
+    def test_every_order_gives_the_same_bits(self):
+        # float, Fraction and mixed coefficients, an offset x0, a Zero bound
+        # and a two-segment curve: the sums are exact or exactly rounded, so
+        # every order prints the same (the analysis context shares one
+        # composition per multiset of path services on this)
+        servers = [
+            IssSpec(ExpBound(0.1, 0.7), Curve.rate_latency(8000.0 / 3, 0.0075)),
+            IssSpec(ExpBound(F(1, 3), F(2)), Curve.rate_latency(F(8000, 7), F(3, 400))),
+            IssSpec(ExpBound(0.2, 1.3, 0.05), Curve.affine(1e-3 + 4000.0, -0.1)),
+            IssSpec(ZeroBound(), Curve([(0, 1000.0 / 3, -1.0), (0.3, 3000.0, 99.0)])),
+            IssSpec(ExpBound(F(1, 7), 0.3), Curve.affine(F(1000, 3), -0.3)),
+        ]
+        for k in (2, 3, 5):
+            for subset in itertools.combinations(servers, k):
+                outs = {repr(parallel(list(order))) for order in itertools.permutations(subset)}
+                assert len(outs) == 1
+        only_zero = [IssSpec(ZeroBound(), Curve.affine(0.1)), IssSpec(ZeroBound(), Curve.affine(0.2))]
+        assert repr(parallel(only_zero)) == repr(parallel(only_zero[::-1]))
 
 
 # ---------------------------------------------------------------------------

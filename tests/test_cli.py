@@ -93,6 +93,26 @@ class TestBflr:
         assert "L1+L2+L3 " in out or "L1+L2+L3" in out
         assert "X" in out  # some subsets infeasible at 0.01%/35ms
 
+    def test_all_subsets_csv_with_mixed_rows(self, capsys, scenario_file, tmp_path):
+        # the case study's first row is infeasible, and with a fast fifth
+        # path the first rows are feasible: either way every row is printed
+        # under one header holding every column
+        doc = json.loads(Path(scenario_file).read_text())
+        fast = json.loads(json.dumps(doc["paths"][0]))
+        fast["id"], fast["nodes"][0]["id"] = "L5", "L5.0"
+        fast["nodes"][0]["beta"]["rate_bps"] = 40000.0
+        doc["paths"].append(fast)
+        five = tmp_path / "five_paths.json"
+        five.write_text(json.dumps(doc))
+        for path, rows in [(scenario_file, 5), (str(five), 21)]:
+            code, out, err = run(capsys, "bflr", path, "--delay-ms", "35", "--violation",
+                                 "0.001", "--all-subsets", "--format", "csv")
+            lines = out.splitlines()
+            assert code == 0 and err == ""
+            assert lines[0] == "subset,feasible,assignment,delay_quantiles_s"
+            assert len(lines) == rows + 1
+            assert "L1+L2+L3+L4,False,None," in lines
+
     def test_deterministic_output(self, capsys, scenario_file):
         _, out1, _ = run(capsys, "bflr", scenario_file, "--delay-ms", "35",
                          "--violation", "0.001", "--format", "json")
