@@ -722,26 +722,17 @@ def grid_service(xs, ys, rate) -> IssSpec:
 class TestSharedServices:
     @pytest.fixture(scope="class")
     def cases(self, case_study, case_study_exact):
-        """(name, scenario, overrides, (delay, p) cells): one feasible and
-        one infeasible cell each."""
-        cells = [(0.035, 1e-3), (0.005, 1e-3)]
-        cases = [("case_study", case_study, None, cells),
-                 ("paper_table1", case_study, PAPER_TABLE1_BOUNDINGS, cells),
-                 ("exact", case_study_exact, None, cells),
-                 ("exact_paper_table1", case_study_exact, PAPER_TABLE1_BOUNDINGS, cells),
-                 ("paired_six", paired_six_paths(case_study), None, cells),
-                 ("kpath8", kpath(case_study, 8), None, [(0.035, 1e-3), (0.0021, 1e-3)]),
-                 ("kpath10", kpath(case_study, 10), None, [(0.035, 1e-3), (0.0021, 1e-3)])]
-        return cases + [(f"random{seed}", random_scenario(np.random.default_rng(seed)), None,
-                         cells) for seed in range(30)]
+        return search_cases(case_study, case_study_exact)
 
     def test_answers_equal_unshared(self, cases):
-        shared = {name: sharing_answers(s, overrides, cells)
-                  for name, s, overrides, cells in cases}
+        # a feasible and an infeasible cell for each scenario
+        cells = {name: [(0.035, 1e-3), (0.0021 if name.startswith("kpath") else 0.005, 1e-3)]
+                 for name, _, _ in cases}
+        shared = {name: sharing_answers(s, overrides, cells[name]) for name, s, overrides in cases}
         with pytest.MonkeyPatch.context() as monkeypatch:
             unshare(monkeypatch)
-            for name, s, overrides, cells in cases:
-                assert shared[name] == sharing_answers(s, overrides, cells), name
+            for name, s, overrides in cases:
+                assert shared[name] == sharing_answers(s, overrides, cells[name]), name
 
     def test_one_context_across_cells_and_gates(self, case_study):
         # library callers may pass one context to several cells and to both
