@@ -10,8 +10,8 @@ only hold when ``a``'s curve value at 0 and final slope are at least
 ``b``'s and ``a``'s bound at 0 is at most ``b``'s plus 1e-12:
 ``_curve_strictly_above`` tests the first at its start and the second at
 its end, and ``_bounding_le`` holds for a Zero left side (value 0), compares
-the values at 0 (``a``) in the exponential closed form and tests x = 0 first
-in its sampled fallback (for any positive grid step).  Rounding a Fraction
+the values at 0 (``a``) in the exponential closed form and compares x = 0
+among the knots of its exact grid test.  Rounding a Fraction
 or an int to float is monotone, so the three conditions still hold on
 floats.  Pruning therefore filters the candidate dominators of each subset
 with numpy on those three floats and lets ``dominates`` decide only those:
@@ -113,7 +113,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .bounding import ExpBound, ZeroBound, bf_convolve, bf_invert, grid_step, shift_bound
+from .bounding import ExpBound, GridBound, ZeroBound, bf_convolve, bf_invert, shift_bound
 from .calculus import (
     GuaranteeReport,
     IsaSpec,
@@ -457,7 +457,8 @@ def _undominated(rates: Sequence[AchievableRate]) -> list[AchievableRate]:
 def dominates(a: IssSpec, b: IssSpec) -> bool:
     """True iff ``a`` is strictly better: curve above for all t > 0 and
     bounding below for all x.  Exponential/affine forms are compared by
-    parameters; anything else falls back to a sampled comparison."""
+    parameters and a grid bound at its knots; a pair with no exact test (a
+    grid bound below an exponential one) is not shown to dominate."""
     return _curve_strictly_above(a.curve, b.curve) and _bounding_le(a.bounding, b.bounding)
 
 
@@ -475,21 +476,23 @@ def _curve_strictly_above(a: Curve, b: Curve) -> bool:
 
 
 def _bounding_le(f, g) -> bool:
+    """Whether ``f <= g + 1e-12`` is shown at every x >= 0.  A GridBound is
+    linear between its knots and constant beyond them; an ExpBound is
+    constant up to ``x0`` and convex after it.  So against a grid ``g``,
+    ``f - g`` peaks at 0, at a knot of either side or at ``x0``, and those
+    points decide the pair exactly.  Any other pair answers False."""
     if f.is_zero:
         return True
     if g.is_zero:
         return False
     if isinstance(f, ExpBound) and isinstance(g, ExpBound):
         return f.a <= g.a and f.b <= g.b and f.x0 <= g.x0
-    # sampled fallback over the configured grid
-    step = grid_step()
-    x_max = max(f.reach(), g.reach(), 1.0)
-    n = min(int(x_max / step) + 2, 2001)
-    for k in range(n):
-        x = x_max * k / (n - 1)
-        if f.value(x) > g.value(x) + 1e-12:
-            return False
-    return True
+    if not isinstance(g, GridBound) or not isinstance(f, (ExpBound, GridBound)):
+        return False
+    knots = f.xs if isinstance(f, GridBound) else [float(f.x0)]
+    xs = np.concatenate([[0.0], g.xs, knots])
+    xs = xs[xs >= 0]
+    return bool(np.all(f.values(xs) <= g.values(xs) + 1e-12))
 
 
 # ---------------------------------------------------------------------------

@@ -11,35 +11,25 @@ probability is needed.
 
 Lower bounding functions (wide-sense increasing, values in [0,1]) mirror the
 upper ones and feed the inf-sum ``(f (.) g)(x) = inf_{s>=0} f(x+s) + g(s)``.
+
+Operators without a closed form sample their operands on a grid from 0 to
+the sum of their reaches, at most ``max(GRID_STEP, span/4000)`` apart and so
+at most 4,001 points.  The inf-sum uses one flat step,
+``max(GRID_STEP, span/8000)``.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-from .errors import ConfigError, UnreachableProbability
+from .errors import UnreachableProbability
 
-#: numeric grid step for sampled fallbacks (information units); the
-#: INFOCALC_GRID_STEP environment variable overrides it.
-DEFAULT_GRID_STEP = 1e-3
-#: numeric grids extend to x0 + GRID_SPAN_FACTOR * b unless told otherwise.
+#: numeric grid step for operators without a closed form (information units)
+GRID_STEP = 1e-3
+#: numeric grids extend to x0 + GRID_SPAN_FACTOR * b.
 GRID_SPAN_FACTOR = 50.0
-
-
-def grid_step() -> float:
-    """The numeric grid step.  It must be finite and positive: a sampled
-    comparison on a grid of no points would hold for any two bounds."""
-    raw = os.environ.get("INFOCALC_GRID_STEP", DEFAULT_GRID_STEP)
-    try:
-        step = float(raw)
-    except ValueError:
-        step = math.nan
-    if not 0 < step < math.inf:
-        raise ConfigError(f"INFOCALC_GRID_STEP must be a finite positive number, got {raw!r}")
-    return step
 
 
 class BoundingFunction:
@@ -258,9 +248,8 @@ def bf_convolve(f: BoundingFunction, g: BoundingFunction, exact: bool = False) -
 
 
 def _grid(x_max: float) -> np.ndarray:
-    step = grid_step()
-    n = min(int(x_max / step) + 2, 4001)
-    return np.linspace(0.0, max(x_max, step), n)
+    n = min(int(x_max / GRID_STEP) + 2, 4001)
+    return np.linspace(0.0, max(x_max, GRID_STEP), n)
 
 
 def _grid_convolve(f: BoundingFunction, g: BoundingFunction) -> GridBound:
@@ -291,7 +280,7 @@ def bf_infsum(f: BoundingFunction, theta: LowerBoundingFunction,
     x_max = f.reach()
     s_max = max(x_max, float(theta.xs[-1]) if isinstance(theta, GridLowerBound) else 1.0)
     # single uniform step so f(x + s) reads straight off one flat grid
-    step = max(grid_step(), (x_max + s_max) / 8000.0)
+    step = max(GRID_STEP, (x_max + s_max) / 8000.0)
     xs = np.arange(0.0, x_max + step, step)
     s = np.arange(0.0, s_max + step, step)
     tv = np.array([theta.value(v) for v in s])
@@ -391,5 +380,4 @@ __all__ = [
     "bf_invert",
     "shift_bound",
     "exact_exp_convolution_value",
-    "grid_step",
 ]

@@ -6,14 +6,12 @@ bounds), ``simulate`` (Monte-Carlo validation of the bounds), ``curve``
 (sample any model curve for plotting).  Exit status 0 on success, 2 when a
 scheduling question is answered "infeasible" (a result, not a fault), 1 on
 errors.  All quantities are printed with units: bits, seconds, probability.
-
-The INFOCALC_GRID_STEP environment variable overrides the numeric grid step
-used by sampled bounding-function fallbacks.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -63,11 +61,13 @@ def _emit(args, rows: list[dict], table_lines: list[str]) -> None:
     elif args.format == "csv":
         if rows:
             # a column missing from some rows (an infeasible row has no
-            # delay quantiles) stays empty there
+            # delay quantiles) stays empty there; a dict cell is JSON
             keys = list(dict.fromkeys(k for r in rows for k in r))
-            print(",".join(keys))
+            out = csv.writer(sys.stdout, lineterminator="\n")
+            out.writerow(keys)
             for r in rows:
-                print(",".join(str(r.get(k, "")) for k in keys))
+                out.writerow(json.dumps(v) if isinstance(v, dict) else str(v)
+                             for v in (r.get(k, "") for k in keys))
     else:
         for line in table_lines:
             print(line)

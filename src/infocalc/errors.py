@@ -50,4 +50,4 @@ class SubsetLimitExceeded(InfoCalcError):
 
 
 class ConfigError(InfoCalcError):
-    """Invalid simulation configuration or ``INFOCALC_GRID_STEP``."""
+    """Invalid simulation configuration."""

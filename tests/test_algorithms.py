@@ -10,6 +10,8 @@ from pathlib import Path as FsPath
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import near_linear_source, random_scenario
 from infocalc import algorithms, sources
@@ -87,6 +89,31 @@ class TestRateCal:
         assert rate.service.bounding.params() == (1.0, 1.0, 0.0)
 
 
+# on a 1e-4 lattice: knots closer than a subnormal make np.interp overflow
+KNOTS = st.lists(st.integers(0, 40_000), min_size=2, max_size=6, unique=True).map(
+    lambda ks: [k / 1e4 for k in sorted(ks)])
+
+
+@st.composite
+def grid_bounds(draw):
+    xs = draw(KNOTS)
+    ys = draw(st.lists(st.floats(0.0, 2.0), min_size=len(xs), max_size=len(xs)))
+    return GridBound(xs, sorted(ys, reverse=True))
+
+
+@st.composite
+def grids_below(draw, g):
+    """Grid bounds that match a fraction of ``g`` at their own knots."""
+    xs = draw(KNOTS)
+    return GridBound(xs, draw(st.floats(0.0, 1.0)) * g.values(xs))
+
+
+BOUNDS = st.one_of(
+    st.just(ZeroBound()),
+    st.builds(ExpBound, st.floats(0.0, 2.0), st.floats(0.01, 4.0), st.floats(0.0, 4.0)),
+    grid_bounds())
+
+
 class TestDominates:
     def test_strictly_better_curve_and_bound(self):
         a = IssSpec(ExpBound(1, 1), Curve.affine(2 * R))
@@ -112,6 +139,49 @@ class TestDominates:
         b = IssSpec(g, Curve.affine(R))
         assert dominates(a, b)
         assert not dominates(b, a)
+
+    def test_grid_pair_compared_at_every_knot(self):
+        # no sample falls in (0.0021, 0.0025), where the first bound reads
+        # 0.5 against 0.1
+        f = GridBound([0, .0025, .003, 10], [.5, .5, 0, 0])
+        g = GridBound([0, .002, .0021, 10], [1, 1, .1, .1])
+        assert f.value(0.0024) > g.value(0.0024)
+        assert not dominates(IssSpec(f, Curve.affine(2 * R)), IssSpec(g, Curve.affine(R)))
+
+    @pytest.mark.parametrize("f, g", [
+        # equal up to x0, below after it
+        (ExpBound(1.0, 1.0, 2.0), GridBound([0.0, 2.0, 3.0], [1.0, 1.0, 0.5])),
+        # knots on the exponential: its chords lie above the convex tail
+        (ExpBound(1.0, 1.0), GridBound([0.0, 1.0, 3.0], [1.0, np.exp(-1.0), np.exp(-3.0)])),
+    ])
+    def test_exp_touching_a_grid_is_below_it(self, f, g):
+        assert algorithms._bounding_le(f, g)
+
+    @pytest.mark.parametrize("f, g", [
+        # above only just after the knot at 1
+        (ExpBound(1.0, 1.0, 1.0), GridBound([0.0, 1.0, 1.0001, 10.0], [1.0, 1.0, 0.99, 0.01])),
+        # above only around x0, between the grid's two knots
+        (ExpBound(1.0, 1.0, 2.0), GridBound([0.0, 4.0], [1.0, 0.2])),
+    ])
+    def test_exp_above_a_grid_between_samples(self, f, g):
+        assert not algorithms._bounding_le(f, g)
+
+    def test_grid_against_exp_is_not_shown(self):
+        # a grid has no exact test against a convex tail: the pair is kept
+        assert not algorithms._bounding_le(GridBound([0.0, 1.0], [0.0, 0.0]), ExpBound(1.0, 1.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=BOUNDS, data=st.data())
+    def test_shown_dominance_holds_between_knots(self, g, data):
+        f = data.draw(st.one_of(BOUNDS, grids_below(g)) if isinstance(g, GridBound) else BOUNDS)
+        if not algorithms._bounding_le(f, g):
+            return
+        knots = [[0.0]] + [[float(b.x0)] for b in (f, g) if isinstance(b, ExpBound)]
+        knots += [b.xs for b in (f, g) if isinstance(b, GridBound)]
+        knots = np.unique(np.concatenate(knots))
+        xs = np.concatenate([knots, (knots[:-1] + knots[1:]) / 2,
+                             np.linspace(0.0, knots[-1] + 10.0, 4001)])
+        assert np.all(f.values(xs) <= g.values(xs) + 1e-12)
 
     def test_pruning_drops_dominated_single_path(self):
         rates = ratecal(three_path_example(), prune=True)
@@ -525,8 +595,10 @@ class TestAnalysisContext:
 def mixed_family_rates() -> list[AchievableRate]:
     """Every curve and bound family ``dominates`` handles: affine and
     two-segment curves with float and Fraction coefficients; Zero, Exp (with
-    a = 0, with an offset x0, Fraction) and Grid bounds, one of them within
-    the sampled fallback's 1e-12 tolerance of ``ExpBound(1, 1)`` at 0."""
+    a = 0, with an offset x0, Fraction) and Grid bounds.  Two grids sit
+    within the 1e-12 tolerance of ``ExpBound(1, 1)`` at 0: one above it,
+    which the knot test compares, and one below it, which no exact test
+    compares."""
     curves = [
         Curve.affine(R, -60.0),
         Curve.affine(Fraction(8000), Fraction(-60)),
@@ -539,7 +611,7 @@ def mixed_family_rates() -> list[AchievableRate]:
         ZeroBound(), ExpBound(0.0, 2.0), ExpBound(1.0, 1.0), ExpBound(Fraction(1), Fraction(1)),
         ExpBound(Fraction(1, 2), Fraction(3)), ExpBound(1.0, 1.0, 2.0),
         GridBound([0.0, 10.0], [0.5, 0.1]), GridBound([0.0, 1e-3, 1.0], [1.0 + 5e-13, 0.0, 0.0]),
-        GridBound([0.0, 2.0, 8.0], [2.0, 0.3, 0.0]),
+        GridBound([0.0, 2.0, 8.0], [2.0, 0.3, 0.0]), GridBound([0.0, 4.0], [1.0 - 5e-13, 0.5]),
     ]
     return [AchievableRate((f"C{i}", f"B{j}"), IssSpec(b, c))
             for i, c in enumerate(curves) for j, b in enumerate(bounds)]

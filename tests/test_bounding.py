@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infocalc.bounding import (
+    GRID_STEP,
     ExpBound,
     GridBound,
     GridLowerBound,
@@ -159,22 +160,16 @@ class TestShift:
         assert shift_bound(z, 100.0) is z
 
 
-def test_grid_step_env_override(monkeypatch):
-    from infocalc.bounding import grid_step
-
-    assert grid_step() == 1e-3
-    monkeypatch.setenv("INFOCALC_GRID_STEP", "0.5")
-    assert grid_step() == 0.5
-
-
-@pytest.mark.parametrize("value", ["-0.1", "0", "nan", "inf", "fine"])
-def test_grid_step_must_be_finite_and_positive(monkeypatch, value):
-    from infocalc.bounding import grid_step
-    from infocalc.errors import ConfigError
-
-    monkeypatch.setenv("INFOCALC_GRID_STEP", value)
-    with pytest.raises(ConfigError, match="INFOCALC_GRID_STEP"):
-        grid_step()
+@pytest.mark.parametrize("b", [0.01, 1.0, 10.0])
+def test_grid_rule(b):
+    # from 0 to the sum of the reaches, at most max(GRID_STEP, span/4000)
+    # apart: below 4,000 steps of GRID_STEP and at the 4,001-point cap
+    f = ExpBound(1.0, b)
+    out = bf_convolve(f, f, exact=True)
+    span = 2 * f.reach()
+    assert out.xs[0] == 0.0 and out.xs[-1] == pytest.approx(span)
+    assert len(out.xs) == min(int(span / GRID_STEP) + 2, 4001)
+    assert np.diff(out.xs).max() <= max(GRID_STEP, span / 4000) * (1 + 1e-9)
 
 
 class TestValidation:

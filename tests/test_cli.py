@@ -1,6 +1,7 @@
 """CLI surface: commands, formats, exit codes, determinism."""
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -112,6 +113,21 @@ class TestBflr:
             assert lines[0] == "subset,feasible,assignment,delay_quantiles_s"
             assert len(lines) == rows + 1
             assert "L1+L2+L3+L4,False,None," in lines
+
+    def test_csv_dict_cells_parse(self, capsys, scenario_file):
+        # the assignment and delay-quantile cells hold commas: each is one
+        # quoted JSON cell, equal to the JSON output's
+        args = ("bflr", scenario_file, "--delay-ms", "35", "--violation", "0.001",
+                "--all-subsets")
+        _, out, _ = run(capsys, *args, "--format", "csv")
+        _, out_json, _ = run(capsys, *args, "--format", "json")
+        header, *rows = csv.reader(io.StringIO(out))
+        assert [len(row) for row in rows] == [len(header)] * len(rows)
+        for row, expected in zip(rows, json.loads(out_json), strict=True):
+            cells = dict(zip(header, row))
+            for key in ("assignment", "delay_quantiles_s"):
+                if isinstance(expected.get(key), dict):
+                    assert json.loads(cells[key]) == expected[key]
 
     def test_deterministic_output(self, capsys, scenario_file):
         _, out1, _ = run(capsys, "bflr", scenario_file, "--delay-ms", "35",

@@ -16,3 +16,15 @@ def test_traced_targets_resolve():
     missing = [f"{module}.{attr}" for module, attr, _ in tracing.TARGETS
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert tracing.TARGETS and not missing, missing
+
+
+def test_counted_grid_classes_resolve():
+    # the traced run also counts grid bounds built by patching the
+    # ``__init__`` of each ``bounding`` class it names
+    import re
+
+    from infocalc import bounding
+
+    names = set(re.findall(r"\bbounding\.([A-Z]\w*)", TRACING.read_text()))
+    assert names >= {"GridBound", "GridLowerBound"}, names
+    assert all(isinstance(getattr(bounding, name, None), type) for name in names), names
