@@ -1,22 +1,10 @@
 """Stochastic network calculus for information-driven networks."""
 
-from .bounding import (
-    BoundingFunction,
-    ExpBound,
-    GridBound,
-    GridLowerBound,
-    LowerBoundingFunction,
-    ZeroBound,
-    ZeroLowerBound,
-    bf_convolve,
-    bf_infsum,
-    bf_invert,
-)
+from .bounding import BoundingFunction, ExpBound, ZeroBound, bf_convolve, bf_invert
 from .calculus import (
     GuaranteeReport,
     IsaSpec,
     IssSpec,
-    LisaSpec,
     backlog_bound,
     backlog_within_delay_bound,
     concatenate,
@@ -25,7 +13,6 @@ from .calculus import (
     impair,
     output_bound,
     parallel,
-    superpose,
 )
 from .curves import Curve, convolve, deconvolve, horizontal_deviation
 from .errors import InfoCalcError

@@ -5,13 +5,13 @@ each subset, concatenates nodes per path and combines the paths in parallel,
 yielding the list of stochastically achievable service models (optionally
 pruned by the dominance relation).
 
-Pruning does not compare every pair of subsets.  ``dominates(a, b)`` can
-only hold when ``a``'s curve value at 0 and final slope are at least
-``b``'s and ``a``'s bound at 0 is at most ``b``'s plus 1e-12:
-``_curve_strictly_above`` tests the first at its start and the second at
-its end, and ``_bounding_le`` holds for a Zero left side (value 0), compares
-the values at 0 (``a``) in the exponential closed form and compares x = 0
-among the knots of its exact grid test.  Rounding a Fraction
+Pruning does not compare every pair of subsets.  Tail bounds are
+``ExpBound`` or ``ZeroBound`` only, so ``dominates(a, b)`` can only hold
+when ``a``'s curve value at 0 and final slope are at least ``b``'s and
+``a``'s bound at 0 is at most ``b``'s: ``_curve_strictly_above`` tests the
+first at its start and the second at its end, and ``_bounding_le`` holds
+for a Zero left side (value 0) and otherwise compares two exponentials by
+their parameters, the value at 0 (``a``) among them.  Rounding a Fraction
 or an int to float is monotone, so the three conditions still hold on
 floats.  Pruning therefore filters the candidate dominators of each subset
 with numpy on those three floats and lets ``dominates`` decide only those:
@@ -74,9 +74,8 @@ only between equal keys.  It memoizes, in plain dicts:
   int or -0.0 computes differently); everything below keys on the id,
   which stands for the value;
 * subset services (``parallel``), keyed by the sorted tuple of the subset's
-  service ids: with Exp and Zero bounds only, ``parallel`` gives the same
-  bits in any order.  A service with any other bound keeps the subset's
-  order in the key, because its convolution fold is not order-free;
+  service ids: ``parallel`` sums exactly, so it gives the same bits in any
+  order;
 * each source's Gaussian rate and the rate-sorted source order;
 * ``aggregate_information`` results, keyed by the set of source ids;
 * fused rates (``aggregate_rate``), keyed by the set of source ids;
@@ -113,7 +112,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .bounding import ExpBound, GridBound, ZeroBound, bf_convolve, bf_invert, shift_bound
+from .bounding import ExpBound, ZeroBound, _closed, bf_convolve, bf_invert, shift_bound
 from .calculus import (
     GuaranteeReport,
     IsaSpec,
@@ -196,7 +195,6 @@ class _Context:
         self.specs: list[IssSpec] = []  # service id -> path service
         self._service_ids: dict[tuple, int] = {}
         self._interned: dict[IssSpec, int] = {}  # first id of each value
-        self._ordered: set[int] = set()  # ids whose bound makes ``parallel`` order-dependent
         self._parallels: dict[tuple[int, ...], IssSpec] = {}
         self._steps: dict[tuple, tuple[int, tuple[str, ...], object]] = {}
         self._rates: dict[str, float] = {}
@@ -226,17 +224,12 @@ class _Context:
         if sid != new and _numbers(self.specs[sid]) == _numbers(spec):
             return sid
         self.specs.append(spec)
-        if not isinstance(spec.bounding, (ExpBound, ZeroBound)):
-            self._ordered.add(new)
         return new
 
     def parallel(self, sids: Sequence[int]) -> IssSpec:
         """``parallel`` of the services with these ids, memoized on their
-        multiset: with Exp and Zero bounds only, it gives the same bits in
-        any order.  Other bounds convolve in list order, so a list holding
-        one keeps its order in the key."""
-        ordered = self._ordered and not self._ordered.isdisjoint(sids)
-        key = tuple(sids) if ordered else tuple(sorted(sids))
+        multiset: it gives the same bits in any order."""
+        key = tuple(sorted(sids))
         spec = self._parallels.get(key)
         if spec is None:
             spec = self._parallels[key] = parallel([self.specs[sid] for sid in key])
@@ -351,8 +344,7 @@ class _Context:
 def _numbers(spec: IssSpec) -> tuple:
     """What two equal services may still differ in: the clipping flag and,
     through the reprs, the type or sign of a number (a Fraction, an int,
-    -0.0 each compute differently).  Equality compares a ``GridBound`` by
-    identity."""
+    -0.0 each compute differently)."""
     bound = spec.bounding
     return (spec.curve.unclipped, repr(spec.curve.segments),
             repr(bound.params()) if isinstance(bound, ExpBound) else None)
@@ -445,7 +437,7 @@ def _filter_keys(rate: AchievableRate) -> tuple[float, float, float]:
 def _may_dominate(a, b):
     """The candidate filter: whether filter keys ``a`` pass as a dominator
     of ``b``.  Elementwise on arrays."""
-    return (a[0] >= b[0]) & (a[1] >= b[1]) & (a[2] <= b[2] + 1e-12)
+    return (a[0] >= b[0]) & (a[1] >= b[1]) & (a[2] <= b[2])
 
 
 def _undominated(rates: Sequence[AchievableRate]) -> list[AchievableRate]:
@@ -456,10 +448,9 @@ def _undominated(rates: Sequence[AchievableRate]) -> list[AchievableRate]:
 
 def dominates(a: IssSpec, b: IssSpec) -> bool:
     """True iff ``a`` is strictly better: curve above for all t > 0 and
-    bounding below for all x.  Exponential/affine forms are compared by
-    parameters and a grid bound at its knots; a pair with no exact test (a
-    grid bound below an exponential one) is not shown to dominate."""
-    return _curve_strictly_above(a.curve, b.curve) and _bounding_le(a.bounding, b.bounding)
+    bounding below for all x.  Curves are compared at their breakpoints,
+    exponential bounds by their parameters."""
+    return _bounding_le(a.bounding, b.bounding) and _curve_strictly_above(a.curve, b.curve)
 
 
 def _curve_strictly_above(a: Curve, b: Curve) -> bool:
@@ -476,23 +467,16 @@ def _curve_strictly_above(a: Curve, b: Curve) -> bool:
 
 
 def _bounding_le(f, g) -> bool:
-    """Whether ``f <= g + 1e-12`` is shown at every x >= 0.  A GridBound is
-    linear between its knots and constant beyond them; an ExpBound is
-    constant up to ``x0`` and convex after it.  So against a grid ``g``,
-    ``f - g`` peaks at 0, at a knot of either side or at ``x0``, and those
-    points decide the pair exactly.  Any other pair answers False."""
+    """Whether ``f <= g`` is shown at every x >= 0: always for a Zero ``f``,
+    never for a Zero ``g`` under an exponential, and for two exponentials
+    when each parameter of ``f`` is at most ``g``'s.  Any other bound is a
+    ``TypeError``."""
+    _closed("compare", f, g)
     if f.is_zero:
         return True
     if g.is_zero:
         return False
-    if isinstance(f, ExpBound) and isinstance(g, ExpBound):
-        return f.a <= g.a and f.b <= g.b and f.x0 <= g.x0
-    if not isinstance(g, GridBound) or not isinstance(f, (ExpBound, GridBound)):
-        return False
-    knots = f.xs if isinstance(f, GridBound) else [float(f.x0)]
-    xs = np.concatenate([[0.0], g.xs, knots])
-    xs = xs[xs >= 0]
-    return bool(np.all(f.values(xs) <= g.values(xs) + 1e-12))
+    return f.a <= g.a and f.b <= g.b and f.x0 <= g.x0
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@
 An arrival model pairs a wide-sense increasing envelope on cumulative
 information with a decreasing tail bound on the envelope excess; a service
 model does the same for guaranteed service.  The operations here compose
-them: superposition with redundancy removal, tandem concatenation, output
-characterization, node impairment, parallel aggregation, and the three
-service-guarantee bounds (backlog, delay, backlog-within-delay).
+them: tandem concatenation, output characterization, node impairment,
+parallel aggregation, and the three service-guarantee bounds (backlog,
+delay, backlog-within-delay).  Tail bounds are ``ExpBound`` or
+``ZeroBound`` (see ``bounding``); sources fuse, with their redundancy
+removed, in ``sources.aggregate_information``.
 """
 
 from __future__ import annotations
@@ -14,15 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounding import (
-    BoundingFunction,
-    ExpBound,
-    LowerBoundingFunction,
-    ZeroBound,
-    bf_convolve,
-    bf_infsum,
-    bf_invert,
-)
+from .bounding import BoundingFunction, ExpBound, ZeroBound, _closed, bf_convolve, bf_invert
 from .curves import INF, Curve, Segment, convolve, deconvolve, horizontal_deviation
 
 
@@ -36,14 +30,6 @@ class IsaSpec:
     @property
     def asymptotic_rate(self):
         return self.curve.final_slope
-
-
-@dataclass(frozen=True)
-class LisaSpec:
-    """Lower-bounded arrival model: increasing tail bound + lower envelope."""
-
-    bounding: LowerBoundingFunction
-    curve: Curve
 
 
 @dataclass(frozen=True)
@@ -74,22 +60,6 @@ class GuaranteeReport:
     bound_value: float
     bound_function: BoundingFunction
     derived_quantile: float
-
-
-def superpose(a1: IsaSpec, a2: IsaSpec, redundancy: LisaSpec) -> IsaSpec:
-    """Fuse two flows, removing their redundant information.
-
-    Returns ``<f1 (x) f2 (.) theta, alpha1 + alpha2 - gamma>``; raises
-    :class:`NonMonotoneResult` when the redundancy envelope exceeds the
-    combined arrivals anywhere.  A Zero theta states the redundancy never
-    dips below its envelope, so the dip term drops and the combined bound
-    stays ``f1 (x) f2``.
-    """
-    curve = (a1.curve + a2.curve).subtract(redundancy.curve, allow_unclipped=False)
-    bounding = bf_convolve(a1.bounding, a2.bounding)
-    if not redundancy.bounding.is_zero:
-        bounding = bf_infsum(bounding, redundancy.bounding)
-    return IsaSpec(bounding, curve)
 
 
 def concatenate(servers: list[IssSpec]) -> IssSpec:
@@ -162,7 +132,7 @@ def backlog_within_delay_bound(arrival: IsaSpec, service: IssSpec, tau, x) -> Gu
     fg = bf_convolve(arrival.bounding, service.bounding)
     c = service_deficit(arrival, service, tau)
     if c == -INF:
-        value = fg.value(0) if not isinstance(fg, ZeroBound) else 0.0
+        value = fg.value(0)
     else:
         value = fg.value(x + c)
     return GuaranteeReport("backlog_within_delay", float(x), float(value), fg,
@@ -180,13 +150,10 @@ def parallel(servers: list[IssSpec]) -> IssSpec:
     """Work-conserving parallel servers behind a weighted information
     splitter: envelopes add pointwise, bounds compose by convolution.
 
-    The envelope and, when every bound is an ``ExpBound`` or a
-    ``ZeroBound``, the bound are sums taken exactly (ints and Fractions) or
-    exactly rounded (``math.fsum``), so any permutation of such servers
-    gives the same result bit for bit.  Other bounds fold with
-    ``bf_convolve`` in list order, and float addition is not associative:
-    three ``GridBound`` servers give three different bounds over their six
-    orders."""
+    The envelope and the bound (the ``ExpBound`` of the summed parameters
+    of the exponential bounds, ``ZeroBound`` when there are none) are sums
+    taken exactly (ints and Fractions) or exactly rounded (``math.fsum``),
+    so any permutation of the servers gives the same result bit for bit."""
     if not servers:
         raise ValueError("parallel needs at least one server")
     points = sorted({t for srv in servers for t in srv.curve.breakpoints()})
@@ -197,19 +164,12 @@ def parallel(servers: list[IssSpec]) -> IssSpec:
         for t in points
     ]
     curve = Curve(segments)
-    exps = [srv.bounding for srv in servers if isinstance(srv.bounding, ExpBound)]
-    rest = [srv.bounding for srv in servers
-            if not isinstance(srv.bounding, ExpBound) and not srv.bounding.is_zero]
-    if exps and not rest:
-        bounding: BoundingFunction = ExpBound(_stable_sum([e.a for e in exps]),
-                                              _stable_sum([e.b for e in exps]),
-                                              _stable_sum([e.x0 for e in exps]))
-    elif not exps and not rest:
-        bounding = ZeroBound()
-    else:
-        bounding = servers[0].bounding
-        for srv in servers[1:]:
-            bounding = bf_convolve(bounding, srv.bounding)
+    _closed("compose in parallel", *(srv.bounding for srv in servers))
+    exps = [srv.bounding for srv in servers if not srv.bounding.is_zero]
+    bounding: BoundingFunction = (ExpBound(_stable_sum([e.a for e in exps]),
+                                           _stable_sum([e.b for e in exps]),
+                                           _stable_sum([e.x0 for e in exps]))
+                                  if exps else ZeroBound())
     return IssSpec(bounding, curve)
 
 
@@ -222,10 +182,8 @@ def _stable_sum(values):
 
 __all__ = [
     "IsaSpec",
-    "LisaSpec",
     "IssSpec",
     "GuaranteeReport",
-    "superpose",
     "concatenate",
     "output_bound",
     "backlog_bound",

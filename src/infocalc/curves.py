@@ -90,11 +90,6 @@ class Curve:
         return cls.affine(rate, -rate * latency)
 
     @classmethod
-    def token_bucket(cls, rate, burst) -> "Curve":
-        """Affine arrival envelope ``rate*t + burst``."""
-        return cls.affine(rate, burst)
-
-    @classmethod
     def zero(cls) -> "Curve":
         return cls.affine(0, 0)
 

@@ -62,6 +62,13 @@ def np_eval(curve: Curve, ts: np.ndarray) -> np.ndarray:
     return values[idx] + slopes[idx] * (ts - starts[idx])
 
 
+def np_bound(f, xs: np.ndarray) -> np.ndarray:
+    """Vectorized evaluation of a ``ZeroBound`` or an ``ExpBound``."""
+    if f.is_zero:
+        return np.zeros_like(xs)
+    return float(f.a) * np.exp(-np.maximum(xs - float(f.x0), 0.0) / float(f.b))
+
+
 @pytest.fixture(scope="session")
 def case_study():
     return case_study_scenario()

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import near_linear_source, random_scenario
+from conftest import near_linear_source, np_bound, random_scenario
 from infocalc import algorithms, sources
 from infocalc.algorithms import (
     AchievableRate,
@@ -30,7 +30,7 @@ from infocalc.algorithms import (
     schedule_subset,
     subset_service,
 )
-from infocalc.bounding import ExpBound, GridBound, ZeroBound
+from infocalc.bounding import ExpBound, ZeroBound
 from infocalc.calculus import IssSpec, delay_bound
 from infocalc.curves import Curve
 from infocalc.errors import SubsetLimitExceeded, UnreachableRatio, ValidationError
@@ -89,29 +89,9 @@ class TestRateCal:
         assert rate.service.bounding.params() == (1.0, 1.0, 0.0)
 
 
-# on a 1e-4 lattice: knots closer than a subnormal make np.interp overflow
-KNOTS = st.lists(st.integers(0, 40_000), min_size=2, max_size=6, unique=True).map(
-    lambda ks: [k / 1e4 for k in sorted(ks)])
-
-
-@st.composite
-def grid_bounds(draw):
-    xs = draw(KNOTS)
-    ys = draw(st.lists(st.floats(0.0, 2.0), min_size=len(xs), max_size=len(xs)))
-    return GridBound(xs, sorted(ys, reverse=True))
-
-
-@st.composite
-def grids_below(draw, g):
-    """Grid bounds that match a fraction of ``g`` at their own knots."""
-    xs = draw(KNOTS)
-    return GridBound(xs, draw(st.floats(0.0, 1.0)) * g.values(xs))
-
-
 BOUNDS = st.one_of(
     st.just(ZeroBound()),
-    st.builds(ExpBound, st.floats(0.0, 2.0), st.floats(0.01, 4.0), st.floats(0.0, 4.0)),
-    grid_bounds())
+    st.builds(ExpBound, st.floats(0.0, 2.0), st.floats(0.01, 4.0), st.floats(0.0, 4.0)))
 
 
 class TestDominates:
@@ -131,57 +111,17 @@ class TestDominates:
         assert not dominates(a, b)
         assert not dominates(b, a)
 
-    def test_grid_fallback_for_numeric_bounds(self):
-        from infocalc.bounding import GridBound
-
-        g = GridBound([0.0, 10.0], [0.5, 0.1])
-        a = IssSpec(ZeroBound(), Curve.affine(2 * R))
-        b = IssSpec(g, Curve.affine(R))
-        assert dominates(a, b)
-        assert not dominates(b, a)
-
-    def test_grid_pair_compared_at_every_knot(self):
-        # no sample falls in (0.0021, 0.0025), where the first bound reads
-        # 0.5 against 0.1
-        f = GridBound([0, .0025, .003, 10], [.5, .5, 0, 0])
-        g = GridBound([0, .002, .0021, 10], [1, 1, .1, .1])
-        assert f.value(0.0024) > g.value(0.0024)
-        assert not dominates(IssSpec(f, Curve.affine(2 * R)), IssSpec(g, Curve.affine(R)))
-
-    @pytest.mark.parametrize("f, g", [
-        # equal up to x0, below after it
-        (ExpBound(1.0, 1.0, 2.0), GridBound([0.0, 2.0, 3.0], [1.0, 1.0, 0.5])),
-        # knots on the exponential: its chords lie above the convex tail
-        (ExpBound(1.0, 1.0), GridBound([0.0, 1.0, 3.0], [1.0, np.exp(-1.0), np.exp(-3.0)])),
-    ])
-    def test_exp_touching_a_grid_is_below_it(self, f, g):
-        assert algorithms._bounding_le(f, g)
-
-    @pytest.mark.parametrize("f, g", [
-        # above only just after the knot at 1
-        (ExpBound(1.0, 1.0, 1.0), GridBound([0.0, 1.0, 1.0001, 10.0], [1.0, 1.0, 0.99, 0.01])),
-        # above only around x0, between the grid's two knots
-        (ExpBound(1.0, 1.0, 2.0), GridBound([0.0, 4.0], [1.0, 0.2])),
-    ])
-    def test_exp_above_a_grid_between_samples(self, f, g):
-        assert not algorithms._bounding_le(f, g)
-
-    def test_grid_against_exp_is_not_shown(self):
-        # a grid has no exact test against a convex tail: the pair is kept
-        assert not algorithms._bounding_le(GridBound([0.0, 1.0], [0.0, 0.0]), ExpBound(1.0, 1.0))
-
     @settings(max_examples=300, deadline=None)
     @given(g=BOUNDS, data=st.data())
     def test_shown_dominance_holds_between_knots(self, g, data):
-        f = data.draw(st.one_of(BOUNDS, grids_below(g)) if isinstance(g, GridBound) else BOUNDS)
+        f = data.draw(BOUNDS)
         if not algorithms._bounding_le(f, g):
             return
         knots = [[0.0]] + [[float(b.x0)] for b in (f, g) if isinstance(b, ExpBound)]
-        knots += [b.xs for b in (f, g) if isinstance(b, GridBound)]
         knots = np.unique(np.concatenate(knots))
         xs = np.concatenate([knots, (knots[:-1] + knots[1:]) / 2,
                              np.linspace(0.0, knots[-1] + 10.0, 4001)])
-        assert np.all(f.values(xs) <= g.values(xs) + 1e-12)
+        assert np.all(np_bound(f, xs) <= np_bound(g, xs) + 1e-12)
 
     def test_pruning_drops_dominated_single_path(self):
         rates = ratecal(three_path_example(), prune=True)
@@ -594,11 +534,8 @@ class TestAnalysisContext:
 
 def mixed_family_rates() -> list[AchievableRate]:
     """Every curve and bound family ``dominates`` handles: affine and
-    two-segment curves with float and Fraction coefficients; Zero, Exp (with
-    a = 0, with an offset x0, Fraction) and Grid bounds.  Two grids sit
-    within the 1e-12 tolerance of ``ExpBound(1, 1)`` at 0: one above it,
-    which the knot test compares, and one below it, which no exact test
-    compares."""
+    two-segment curves with float and Fraction coefficients; Zero and Exp
+    (with a = 0, with an offset x0, Fraction) bounds."""
     curves = [
         Curve.affine(R, -60.0),
         Curve.affine(Fraction(8000), Fraction(-60)),
@@ -610,8 +547,6 @@ def mixed_family_rates() -> list[AchievableRate]:
     bounds = [
         ZeroBound(), ExpBound(0.0, 2.0), ExpBound(1.0, 1.0), ExpBound(Fraction(1), Fraction(1)),
         ExpBound(Fraction(1, 2), Fraction(3)), ExpBound(1.0, 1.0, 2.0),
-        GridBound([0.0, 10.0], [0.5, 0.1]), GridBound([0.0, 1e-3, 1.0], [1.0 + 5e-13, 0.0, 0.0]),
-        GridBound([0.0, 2.0, 8.0], [2.0, 0.3, 0.0]), GridBound([0.0, 4.0], [1.0 - 5e-13, 0.5]),
     ]
     return [AchievableRate((f"C{i}", f"B{j}"), IssSpec(b, c))
             for i, c in enumerate(curves) for j, b in enumerate(bounds)]
@@ -787,10 +722,6 @@ def sharing_answers(s, overrides, cells):
     return repr(out)
 
 
-def grid_service(xs, ys, rate) -> IssSpec:
-    return IssSpec(GridBound(xs, ys), Curve.affine(rate, -60.0))
-
-
 class TestSharedServices:
     @pytest.fixture(scope="class")
     def cases(self, case_study, case_study_exact):
@@ -823,28 +754,6 @@ class TestSharedServices:
             return repr(out)
 
         assert answers(ctx) == answers(None)
-
-    def test_grid_bound_services_keep_their_order(self, case_study, monkeypatch):
-        # P0 and P3 have one GridBound service, so P1+P2+P3 holds the
-        # services of P0+P1+P2 in another order, and the convolution fold
-        # of three grids depends on the order
-        a = grid_service([0.0, 0.1, 0.3], [1.0, 0.4, 0.0], 8000.0)
-        b = grid_service([0.0, 0.07, 0.2], [0.9, 0.3, 0.05], 6000.0)
-        c = grid_service([0.0, 0.25], [0.8, 0.0], 4000.0)
-        pool = {"P0": a, "P1": b, "P2": c, "P3": a}
-        bounds = {order: algorithms.parallel(list(order)).bounding for order in [(a, b, c), (b, c, a)]}
-        assert not np.array_equal(bounds[a, b, c].ys, bounds[b, c, a].ys)
-        paths = tuple(Path(f"P{k}", (Node(f"P{k}.n0", 1.0, 1.0, R, 0.0075),)) for k in range(4))
-        s = Scenario(case_study.sources, case_study.spatial, paths, ())
-        monkeypatch.setattr(algorithms, "effective_path_service",
-                            lambda s, active, pid, overrides=None: pool[pid])
-        rates = ratecal(s)
-        assert len(rates) == 15
-        for rate in rates:
-            expected = algorithms.parallel([pool[pid] for pid in rate.subset])
-            assert rate.service.curve == expected.curve, rate.subset
-            assert np.array_equal(rate.service.bounding.xs, expected.bounding.xs), rate.subset
-            assert np.array_equal(rate.service.bounding.ys, expected.bounding.ys), rate.subset
 
     def test_equal_values_of_another_type_or_sign_stay_apart(self, case_study):
         ctx = algorithms._Context(case_study, None)
@@ -894,3 +803,34 @@ class TestSharedServices:
             table = bflr_table(s, delay, p)
             assert [subset for subset, _ in table] == [("P0", "P1"), ("P0",), ("P1",)]
             assert calls and set(calls.values()) == {1}
+
+
+# ---------------------------------------------------------------------------
+# The closed family: every stage builds ExpBound or ZeroBound only
+# ---------------------------------------------------------------------------
+
+
+def tail_bounds(s: Scenario) -> list:
+    """The tail bounds of every ``ratecal`` service and of every delay
+    certificate of ``bflr`` and ``bflr_table``, at a tight and a loose delay."""
+    bounds = [rate.service.bounding for rate in ratecal(s)]
+    for delay in (0.05, 0.2):
+        results = [bflr(s, delay, 1e-3)] + [result for _, result in bflr_table(s, delay, 1e-3)]
+        bounds += [report.bound_function for result in results if isinstance(result, Schedule)
+                   for report in result.certificates.values()]
+    return bounds
+
+
+class TestClosedFamily:
+    # the operators refuse any other bound, so a stage that built one would
+    # raise; this pins that no stage does
+    def test_case_study(self, case_study):
+        bounds = tail_bounds(case_study)
+        assert len(bounds) > 15
+        assert all(isinstance(bound, (ExpBound, ZeroBound)) for bound in bounds)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_random_scenarios(self, seed):
+        bounds = tail_bounds(random_scenario(np.random.default_rng(seed)))
+        assert all(isinstance(bound, (ExpBound, ZeroBound)) for bound in bounds)

@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 
 from conftest import np_eval
-from infocalc.bounding import ExpBound, ZeroBound, ZeroLowerBound, constant_lower_bound
+from infocalc.bounding import ExpBound, ZeroBound
 from infocalc.calculus import (
     IsaSpec,
     IssSpec,
-    LisaSpec,
     backlog_bound,
     backlog_within_delay_bound,
     concatenate,
@@ -23,10 +22,9 @@ from infocalc.calculus import (
     output_bound,
     parallel,
     service_deficit,
-    superpose,
 )
 from infocalc.curves import Curve, Segment
-from infocalc.errors import NonMonotoneResult, UnboundedDeconvolution
+from infocalc.errors import UnboundedDeconvolution
 
 R = F(8000)
 D = F(3, 400)
@@ -34,43 +32,6 @@ D = F(3, 400)
 
 def node(a=1, b=1, rate=R, latency=D):
     return IssSpec(ExpBound(a, b), Curve.rate_latency(rate, latency))
-
-
-class TestSuperpose:
-    def test_pairwise_redundancy_removed(self):
-        rho = 100.0
-        a = IsaSpec(ZeroBound(), Curve.affine(rho))
-        red = LisaSpec(ZeroLowerBound(), Curve.affine(0.2 * rho))
-        out = superpose(a, a, red)
-        assert out.bounding.is_zero
-        assert out.curve.approx_eq(Curve.affine(1.8 * rho))
-
-    def test_independent_flows_add(self):
-        a1 = IsaSpec(ExpBound(1, 1), Curve.affine(2.0, 1.0))
-        a2 = IsaSpec(ExpBound(2, 2), Curve.affine(3.0))
-        out = superpose(a1, a2, LisaSpec(ZeroLowerBound(), Curve.zero()))
-        assert out.curve == Curve.affine(5.0, 1.0)
-        assert out.bounding.params() == (3, 3, 0)
-
-    def test_full_redundancy_collapses_to_single_flow(self):
-        alpha = Curve.affine(4.0)
-        a = IsaSpec(ZeroBound(), alpha)
-        out = superpose(a, a, LisaSpec(ZeroLowerBound(), alpha))
-        assert out.curve == alpha
-        assert out.bounding.is_zero
-
-    def test_excess_redundancy_rejected(self):
-        a = IsaSpec(ZeroBound(), Curve.affine(1.0))
-        with pytest.raises(NonMonotoneResult):
-            superpose(a, a, LisaSpec(ZeroLowerBound(), Curve.affine(3.0)))
-
-    def test_nonzero_theta_feeds_infsum(self):
-        a = IsaSpec(ExpBound(1, 1), Curve.affine(1.0))
-        red = LisaSpec(constant_lower_bound(0.25, 10.0), Curve.affine(0.1))
-        out = superpose(a, a, red)
-        # inf_s [2e^-(x+s)/2 + 0.25] = 0.25 in the tail limit
-        assert out.bounding.value(0.0) <= 2.0 + 0.25 + 1e-9
-        assert out.bounding.value(60.0) == pytest.approx(0.25, abs=1e-3)
 
 
 class TestConcatenate:
@@ -326,14 +287,15 @@ def test_deterministic_superpose_output_parallel_vs_simulation(seed):
     gamma_share = float(rng.uniform(0.0, 0.4))
     a1 = IsaSpec(ZeroBound(), Curve.affine(rho, float(rng.uniform(0, 100))))
     a2 = IsaSpec(ZeroBound(), Curve.affine(rho, float(rng.uniform(0, 100))))
-    red = LisaSpec(ZeroLowerBound(), Curve.affine(gamma_share * rho))
-    fused = superpose(a1, a2, red)
+    # two flows fused with their redundancy gamma_share * rho removed
+    fused = IsaSpec(ZeroBound(), (a1.curve + a2.curve).subtract(
+        Curve.affine(gamma_share * rho), allow_unclipped=False))
 
     rate = float(rng.choice([3.0, 4.0])) * 1000
     latency = float(rng.integers(2, 15)) * h
     srv = IssSpec(ZeroBound(), Curve.rate_latency(rate, latency))
 
-    # superposed flow through one server
+    # fused flow through one server
     arr = np_eval(fused.curve, ts)
     out = greedy_outputs(fused.curve, [(rate, latency)], h, steps)
     dev = backlog_bound(fused, srv, 0.0).derived_quantile

@@ -28,3 +28,18 @@ def test_counted_grid_classes_resolve():
     names = set(re.findall(r"\bbounding\.([A-Z]\w*)", TRACING.read_text()))
     assert names >= {"GridBound", "GridLowerBound"}, names
     assert all(isinstance(getattr(bounding, name, None), type) for name in names), names
+
+
+def test_module_exports_resolve():
+    # a stale ``__all__`` entry makes ``from infocalc.<module> import *`` raise
+    import pkgutil
+
+    import infocalc
+
+    modules = [importlib.import_module(f"infocalc.{info.name}")
+               for info in pkgutil.iter_modules(infocalc.__path__)]
+    exported = {mod.__name__: mod.__all__ for mod in modules if hasattr(mod, "__all__")}
+    missing = [f"{name}.{attr}" for name, names in exported.items() for attr in names
+               if not hasattr(importlib.import_module(name), attr)]
+    assert {"infocalc.bounding", "infocalc.calculus"} <= exported.keys(), exported.keys()
+    assert not missing, missing
