@@ -17,8 +17,9 @@ floats.  Pruning therefore filters the candidate dominators of each subset
 with numpy on those three floats and lets ``dominates`` decide only those:
 the kept list, and its order, are those of the all-pairs scan.  The filter
 is ``_may_dominate`` on ``_filter_keys``; ``_Dominance`` applies it with
-``dominates`` to a whole list, for ``ratecal`` and for the pruned ``bflr``
-stream, and ``_dominators_first`` to the services of an equal-rate group.
+``dominates`` to a whole list, once per service object, for ``ratecal`` and
+for the pruned ``bflr`` stream, and ``_dominators_first`` to the services of
+an equal-rate group.
 
 ``bflr`` (best-fit, largest redundancy) greedily packs sources onto the
 paths of each candidate subset, fusing same-group sources to exploit their
@@ -399,37 +400,56 @@ def _listing_guard(s: Scenario) -> list[str]:
 
 
 class _Dominance:
-    """Rates and the three columns of their filter keys (``_filter_keys``);
-    rows past the last rate hold NaN, which passes no filter."""
+    """One row per service object and the three columns of their filter keys
+    (``_filter_keys``); rows past the last hold NaN, which passes no filter.
+
+    Rates that share a service object share a row, and so the dominance
+    tests and their verdict: the same object is the same rate, hence the
+    same equal-rate group, and ``dominates(x, x)`` is False, so a twin never
+    prunes its twin.  Rows key on identity, not value, because equal Fraction
+    and float services can compare differently (``_numbers``)."""
 
     def __init__(self, rates: Sequence[AchievableRate] = ()):
-        self.rates = list(rates)
-        keys = np.array([_filter_keys(r) for r in self.rates], dtype=float).reshape(-1, 3)
+        self.services = list({id(rate.service): rate.service for rate in rates}.values())
+        self.rows = {id(service): j for j, service in enumerate(self.services)}
+        keys = np.array([_filter_keys(s) for s in self.services], dtype=float).reshape(-1, 3)
         self.keys = tuple(keys.T.copy())
 
-    def add(self, rate: AchievableRate) -> int:
-        """Index of ``rate``, appended."""
-        n = len(self.rates)
+    def add(self, rate: AchievableRate) -> None:
+        """Give ``rate``'s service a row, unless it has one."""
+        service = rate.service
+        if id(service) in self.rows:
+            return
+        n = len(self.services)
         if n == len(self.keys[0]):
             self.keys = tuple(np.concatenate([column, np.full(max(n, 16), np.nan)])
                               for column in self.keys)
-        for column, key in zip(self.keys, _filter_keys(rate)):
+        for column, key in zip(self.keys, _filter_keys(service)):
             column[n] = key
-        self.rates.append(rate)
-        return n
+        self.rows[id(service)] = n
+        self.services.append(service)
 
     def candidates(self, j: int) -> np.ndarray:
-        """The indices that pass the filter as dominators of rate j (j among
+        """The rows that pass the filter as dominators of row j (j among
         them).  One row at a time keeps memory O(n)."""
         return np.flatnonzero(_may_dominate(self.keys, [column[j] for column in self.keys]))
 
-    def undominated(self, j: int) -> bool:
-        rates, target = self.rates, self.rates[j].service
-        return not any(i != j and dominates(rates[i].service, target) for i in self.candidates(j))
+    def undominated(self, rates: Sequence[AchievableRate]) -> list[AchievableRate]:
+        """Those of ``rates``, all added, whose service no other row's
+        dominates, in their given order."""
+        services, verdicts = self.services, {}
+        kept = []
+        for rate in rates:
+            j = self.rows[id(rate.service)]
+            if j not in verdicts:
+                verdicts[j] = not any(i != j and dominates(services[i], services[j])
+                                      for i in self.candidates(j))
+            if verdicts[j]:
+                kept.append(rate)
+        return kept
 
 
-def _filter_keys(rate: AchievableRate) -> tuple[float, float, float]:
-    service = rate.service
+def _filter_keys(service: IssSpec) -> tuple[float, float, float]:
     return (float(service.curve.value(0)), float(service.curve.final_slope),
             float(service.bounding.value(0)))
 
@@ -442,8 +462,7 @@ def _may_dominate(a, b):
 
 def _undominated(rates: Sequence[AchievableRate]) -> list[AchievableRate]:
     """The rates no other rate ``dominates``, in their given order."""
-    pool = _Dominance(rates)
-    return [r for j, r in enumerate(rates) if pool.undominated(j)]
+    return _Dominance(rates).undominated(rates)
 
 
 def dominates(a: IssSpec, b: IssSpec) -> bool:
@@ -596,7 +615,7 @@ def _best_first(ctx: _Context, prune: bool) -> Iterator[list[AchievableRate]]:
 
     frontier: list[tuple[float, tuple[int, ...]]] = []
     push(())
-    built: list[tuple[float, tuple[str, ...], int, AchievableRate]] = []
+    built: list[tuple[float, tuple[str, ...], AchievableRate]] = []
     pool = _Dominance() if prune else None
     expanded = 0
     while True:
@@ -605,7 +624,8 @@ def _best_first(ctx: _Context, prune: bool) -> Iterator[list[AchievableRate]]:
             group = [heapq.heappop(built)]
             while built and built[0][0] == group[0][0]:
                 group.append(heapq.heappop(built))
-            yield [rate for _, _, j, rate in group if not prune or pool.undominated(j)]
+            rates = [rate for _, _, rate in group]
+            yield pool.undominated(rates) if prune else rates
         if top is None:
             return
         left_out = heapq.heappop(frontier)[1]
@@ -625,8 +645,9 @@ def _best_first(ctx: _Context, prune: bool) -> Iterator[list[AchievableRate]]:
         service = subset_service(s, subset, ctx.overrides, ctx=ctx)
         if service.asymptotic_rate >= total:
             rate = AchievableRate(subset, service)
-            j = pool.add(rate) if prune else -1
-            heapq.heappush(built, (-float(service.asymptotic_rate), subset, j, rate))
+            if prune:
+                pool.add(rate)
+            heapq.heappush(built, (-float(service.asymptotic_rate), subset, rate))
 
 
 def _dominators_first(group: list[AchievableRate]) -> list[AchievableRate]:
@@ -647,7 +668,7 @@ def _dominators_first(group: list[AchievableRate]) -> list[AchievableRate]:
         return group
     same = list(services.values())
     heads = [rates[0].service for rates in same]
-    keys = [_filter_keys(rates[0]) for rates in same]
+    keys = [_filter_keys(head) for head in heads]
     nearest = sorted(range(len(same)), key=lambda i: keys[i][0])
 
     def candidates(h: int) -> Iterator[int]:

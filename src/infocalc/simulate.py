@@ -22,6 +22,10 @@ entry, in one fixed order, so a seed fixes every run.  Runs are then served
 step, and each chunk is reduced at once to the per-run samples the reports
 read (delay, backlog, backlog within delay).  Memory is therefore
 O(CHUNK_RUNS x steps) plus O(runs), whatever the run count.
+
+The delay bound curve shares one memoized inverse of the delay bound per
+report: the thresholds' bisections and the grid's top probe read the same
+memo of delay quantiles.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -263,15 +268,29 @@ def _threshold_grid(lo: float, hi: float, n: int = 20) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _delay_bound_curve(arrival: IsaSpec, service: IssSpec, thresholds: np.ndarray,
-                       slack: float) -> np.ndarray:
-    """Analytic Prob{D > y} bound per threshold y (1.0 below the zero-slack
-    quantile, where the delay bound makes no claim)."""
-    fg = bf_convolve(arrival.bounding, service.bounding)
+def _delay_quantile(arrival: IsaSpec, service: IssSpec) -> Callable[[float], float]:
+    """The delay quantile at bound level x, the inverse of the delay bound:
+    the horizontal deviation of the arrival curve raised by x from the
+    service curve floored at x.  It is pure in x, so one report keeps one
+    memo of its probes and no probe is evaluated twice."""
+    probes: dict[float, float] = {}
 
     def quantile(x: float) -> float:
-        return horizontal_deviation(arrival.curve.shift_up(x), service.curve.floor_at(x))
+        q = probes.get(x)
+        if q is None:
+            q = probes[x] = horizontal_deviation(arrival.curve.shift_up(x),
+                                                 service.curve.floor_at(x))
+        return q
 
+    return quantile
+
+
+def _delay_bound_curve(arrival: IsaSpec, service: IssSpec, thresholds: np.ndarray,
+                       slack: float, quantile: Callable[[float], float]) -> np.ndarray:
+    """Analytic Prob{D > y} bound per threshold y (1.0 below the zero-slack
+    quantile, where the delay bound makes no claim), bisecting
+    ``quantile = _delay_quantile(arrival, service)`` per threshold."""
+    fg = bf_convolve(arrival.bounding, service.bounding)
     if arrival.curve.final_slope > service.curve.final_slope:
         # rate-overloaded path: no finite claim at any threshold
         return np.full_like(thresholds, max(1.0, float(fg.value(0.0))))
@@ -364,12 +383,13 @@ def simulate(s: Scenario, schedule: Schedule, cfg: TraceConfig,
         x_top = bf_invert(fg, p_floor / 2)
 
         # --- delay ---
+        quantile = _delay_quantile(arrival, service)
         try:
-            q_hint = horizontal_deviation(arrival.curve.shift_up(x_top), service.curve.floor_at(x_top))
+            q_hint = quantile(x_top)
         except InfiniteDeviation:
             q_hint = cfg.horizon / 4
         thr = _threshold_grid(max(q_hint * 0.1, cfg.time_step), q_hint + 5 * cfg.time_step)
-        bounds = _delay_bound_curve(arrival, service, thr, slack=2 * cfg.time_step)
+        bounds = _delay_bound_curve(arrival, service, thr, 2 * cfg.time_step, quantile)
         k = (delays[None, :] > thr[:, None]).sum(axis=1)
         emp, ci = k / cfg.runs, wilson_upper(k, cfg.runs)
         reports.append(TailReport("delay", pid, thr, emp, ci, bounds,

@@ -567,21 +567,50 @@ class TestPrune:
             sample = rng.sample(rates, 8)
             assert algorithms._undominated(sample) == reference_prune(sample)
 
-    def test_far_fewer_dominance_tests_than_pairs(self, case_study, monkeypatch):
-        s = paired_six_paths(case_study)
-        calls = 0
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_shared_services_match_pairwise_scan(self, seed):
+        # every service object sits under two subsets; some twins are
+        # pruned together, others kept together
+        rng = random.Random(seed)
+        rates = mixed_family_rates()
+        rates += [AchievableRate(r.subset + ("twin",), r.service) for r in rates]
+        rng.shuffle(rates)
+        kept = algorithms._undominated(rates)
+        assert kept == reference_prune(rates)
+        by_service = Counter(id(r.service) for r in kept)
+        assert set(by_service.values()) == {2}
+        assert 0 < len(by_service) < len(rates) // 2
+        for _ in range(40):
+            sample = rng.sample(rates, 8)
+            assert algorithms._undominated(sample) == reference_prune(sample)
+
+    @staticmethod
+    def counted_dominates(monkeypatch) -> Counter:
+        calls = Counter()
         original = algorithms.dominates
 
         def counted(a, b):
-            nonlocal calls
-            calls += 1
+            calls["dominates"] += 1
             return original(a, b)
 
         monkeypatch.setattr(algorithms, "dominates", counted)
+        return calls
+
+    def test_far_fewer_dominance_tests_than_pairs(self, case_study, monkeypatch):
+        s = paired_six_paths(case_study)
+        calls = self.counted_dominates(monkeypatch)
         kept = ratecal(s, prune=True)
         # 58 calls measured for 63 subsets; the all-pairs scan makes 2,005
-        assert calls <= 200
+        assert calls["dominates"] <= 200
         assert kept == reference_prune(ratecal(s))
+
+    def test_one_dominance_scan_per_service(self, case_study, monkeypatch):
+        # 1,023 subsets share far fewer services: 191 calls measured, and
+        # 1,254 when every subset ran its own scan
+        s = kpath(case_study, 10)
+        calls = self.counted_dominates(monkeypatch)
+        ratecal(s, prune=True)
+        assert calls["dominates"] <= 210
 
 
 # ---------------------------------------------------------------------------
