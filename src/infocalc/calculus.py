@@ -34,7 +34,8 @@ class IsaSpec:
 
 @dataclass(frozen=True)
 class IssSpec:
-    """Stochastic service model: tail bound + (possibly unclipped) service envelope."""
+    """Stochastic service model: tail bound + service envelope (which may be
+    negative near zero)."""
 
     bounding: BoundingFunction
     curve: Curve
@@ -141,9 +142,9 @@ def backlog_within_delay_bound(arrival: IsaSpec, service: IssSpec, tau, x) -> Gu
 
 def impair(service: IssSpec, impairment: IsaSpec) -> IssSpec:
     """Service left after an interfering impairment process:
-    ``<g (x) f, beta - alpha>`` with unclipped subtraction."""
+    ``<g (x) f, beta - alpha>``, the difference not clipped at zero."""
     return IssSpec(bf_convolve(service.bounding, impairment.bounding),
-                   service.curve.subtract(impairment.curve, allow_unclipped=True))
+                   service.curve.subtract(impairment.curve))
 
 
 def parallel(servers: list[IssSpec]) -> IssSpec:

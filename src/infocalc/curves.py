@@ -1,11 +1,10 @@
 """Exact algebra of piecewise-affine, wide-sense increasing curves.
 
 A :class:`Curve` is a continuous piecewise-affine function on ``[0, +inf)``
-with non-negative slopes; the last segment extends to infinity.  Curves may
-be *unclipped*, i.e. take negative values near zero (affine service tails
-such as ``r*t - r*T``), which is the default semantics used for service
-curves: convolving two affine tails gives ``min(rate)`` and summed offsets
-instead of clipping at zero.  Clipping is applied explicitly via
+with non-negative slopes; the last segment extends to infinity.  A curve
+may take negative values near zero (affine service tails such as
+``r*t - r*T``): convolving two affine tails gives ``min(rate)`` and summed
+offsets instead of clipping at zero.  Clipping is applied explicitly via
 :meth:`Curve.floor_at`.
 
 Coefficients may be floats or :class:`fractions.Fraction`; all operations
@@ -20,7 +19,7 @@ computed exactly by breakpoint/envelope analysis.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InfiniteDeviation, NonMonotoneResult, UnboundedDeconvolution
 
@@ -52,9 +51,9 @@ class Segment(NamedTuple):
 class Curve:
     """Piecewise-affine wide-sense increasing function of time."""
 
-    __slots__ = ("segments", "unclipped")
+    __slots__ = ("segments",)
 
-    def __init__(self, segments: Sequence[Segment | tuple], unclipped: bool | None = None):
+    def __init__(self, segments: Sequence[Segment | tuple]):
         segs = [Segment(*s) for s in segments]
         if not segs:
             raise ValueError("curve needs at least one segment")
@@ -69,13 +68,7 @@ class Curve:
         for s in segs:
             if s.slope < 0:
                 raise NonMonotoneResult(f"negative slope {s.slope} at t={s.start}")
-        negative = segs[0].value < 0
-        if unclipped is None:
-            unclipped = bool(negative)
-        elif not unclipped and negative:
-            raise ValueError("curve takes negative values but unclipped=False")
         self.segments = tuple(_merge(segs))
-        self.unclipped = unclipped
 
     # -- constructors -------------------------------------------------
 
@@ -92,17 +85,6 @@ class Curve:
     @classmethod
     def zero(cls) -> "Curve":
         return cls.affine(0, 0)
-
-    @classmethod
-    def from_points(cls, points: Iterable[tuple], final_slope) -> "Curve":
-        """Curve through ``(t, value)`` knots, affine between, `final_slope` after."""
-        pts = sorted(points)
-        segs = []
-        for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
-            segs.append(Segment(t0, (v1 - v0) / (t1 - t0), v0))
-        t_last, v_last = pts[-1]
-        segs.append(Segment(t_last, final_slope, v_last))
-        return cls(segs)
 
     # -- evaluation ---------------------------------------------------
 
@@ -189,31 +171,25 @@ class Curve:
         """``k * f(t)`` for ``k >= 0``."""
         if k < 0:
             raise ValueError("scale factor must be non-negative")
-        return Curve([Segment(s.start, k * s.slope, k * s.value) for s in self.segments],
-                     unclipped=self.unclipped)
+        return Curve([Segment(s.start, k * s.slope, k * s.value) for s in self.segments])
 
     def __add__(self, other: "Curve") -> "Curve":
         segs = []
         for t in _union_breakpoints(self, other):
-            segs.append(Segment(t, self._segment_slope_at(t) + other._segment_slope_at(t),
+            segs.append(Segment(t, self._segment_at(t).slope + other._segment_at(t).slope,
                                 self.value(t) + other.value(t)))
         return Curve(segs)
 
-    def subtract(self, other: "Curve", allow_unclipped: bool = True) -> "Curve":
-        """``f - g``; raises :class:`NonMonotoneResult` if any slope turns negative,
-        or if the result dips below zero while ``allow_unclipped`` is false."""
+    def subtract(self, other: "Curve") -> "Curve":
+        """``f - g``, which may be negative near zero; raises
+        :class:`NonMonotoneResult` if any slope turns negative."""
         segs = []
         for t in _union_breakpoints(self, other):
-            slope = self._segment_slope_at(t) - other._segment_slope_at(t)
+            slope = self._segment_at(t).slope - other._segment_at(t).slope
             if slope < 0:
                 raise NonMonotoneResult(f"subtraction yields slope {slope} at t={t}")
             segs.append(Segment(t, slope, self.value(t) - other.value(t)))
-        if not allow_unclipped and segs[0].value < 0:
-            raise NonMonotoneResult("subtraction yields negative values and unclipped result was not permitted")
         return Curve(segs)
-
-    def _segment_slope_at(self, t):
-        return self._segment_at(t).slope
 
     # -- comparison ---------------------------------------------------
 
@@ -362,7 +338,7 @@ def convolve(a: Curve, b: Curve) -> Curve:
     """Min-plus convolution ``inf_{0<=s<=t} a(s) + b(t-s)``, exact.
 
     For two affine tails the result tail has the smaller slope and the summed
-    offsets (unclipped-affine semantics): ``r(t-d) (x) r(t-d) = r(t-2d)``.
+    offsets (affine tails are not clipped at zero): ``r(t-d) (x) r(t-d) = r(t-2d)``.
     """
     candidates = []
     for s in a.breakpoints():
@@ -434,7 +410,7 @@ def horizontal_deviation(alpha: Curve, beta: Curve):
     best = None
     for s, y in pairs:
         for reach in (beta.first_reach(y),
-                      beta.first_reach_strict(y) if _right_slope(alpha, s) > 0 else None):
+                      beta.first_reach_strict(y) if alpha._segment_at(s).slope > 0 else None):
             if reach is None:
                 continue
             if reach == INF:
@@ -445,10 +421,6 @@ def horizontal_deviation(alpha: Curve, beta: Curve):
             if best is None or d > best:
                 best = d
     return best
-
-
-def _right_slope(curve: Curve, t):
-    return curve._segment_at(t).slope
 
 
 __all__ = [

@@ -146,6 +146,18 @@ def _points_pass(k: np.ndarray, ci_hi: np.ndarray, bounds: np.ndarray, runs: int
     return bool(np.all(np.where(resolvable, ok_ci, ok_zero)))
 
 
+def _tail_report(quantity: str, path_id: str, thresholds: np.ndarray, samples: np.ndarray,
+                 bounds: np.ndarray, meta: dict) -> TailReport:
+    """Report of the per-run ``samples`` against the analytic ``bounds``:
+    per threshold, the runs exceeding it, their frequency and its Wilson
+    upper limit."""
+    runs = len(samples)
+    k = (samples[None, :] > thresholds[:, None]).sum(axis=1)
+    ci = wilson_upper(k, runs)
+    return TailReport(quantity, path_id, thresholds, k / runs, ci, bounds,
+                      _points_pass(k, ci, bounds, runs), meta)
+
+
 # ---------------------------------------------------------------------------
 # Impairment sampling
 # ---------------------------------------------------------------------------
@@ -203,19 +215,15 @@ def impairment_excess_samples(entry: ImpairmentEntry, node: Node, cfg: TraceConf
     return best
 
 
-def impairment_selfcheck(entry: ImpairmentEntry, node: Node, cfg: TraceConfig,
-                         n_thresholds: int = 20) -> TailReport:
-    """TailReport asserting the sampled impairment satisfies its own model."""
+def impairment_selfcheck(entry: ImpairmentEntry, node: Node, cfg: TraceConfig) -> TailReport:
+    """TailReport asserting the sampled impairment satisfies its own model,
+    at 20 thresholds."""
     excess = impairment_excess_samples(entry, node, cfg)
     a, b = float(entry.bounding_a), float(entry.bounding_b)
-    thresholds = np.linspace(0.0, 5.0 * b + excess.max(), n_thresholds)
-    k = (excess[None, :] > thresholds[:, None]).sum(axis=1)
-    emp = k / cfg.runs
-    ci = wilson_upper(k, cfg.runs)
+    thresholds = np.linspace(0.0, 5.0 * b + excess.max(), 20)
     bounds = np.minimum(a * np.exp(-thresholds / b), 1.0)
-    passed = _points_pass(k, ci, bounds, cfg.runs)
-    return TailReport("impairment_excess", f"{entry.a[0]}~{entry.b[0]}", thresholds,
-                      emp, ci, bounds, passed, {"runs": cfg.runs, "seed": cfg.seed})
+    return _tail_report("impairment_excess", f"{entry.a[0]}~{entry.b[0]}", thresholds,
+                        excess, bounds, {"runs": cfg.runs, "seed": cfg.seed})
 
 
 # ---------------------------------------------------------------------------
@@ -291,15 +299,16 @@ def _delay_bound_curve(arrival: IsaSpec, service: IssSpec, thresholds: np.ndarra
     quantile, where the delay bound makes no claim), bisecting
     ``quantile = _delay_quantile(arrival, service)`` per threshold."""
     fg = bf_convolve(arrival.bounding, service.bounding)
+    vacuous = max(1.0, float(fg.value(0.0)))
     if arrival.curve.final_slope > service.curve.final_slope:
         # rate-overloaded path: no finite claim at any threshold
-        return np.full_like(thresholds, max(1.0, float(fg.value(0.0))))
+        return np.full_like(thresholds, vacuous)
     q0 = quantile(0.0)
     out = np.empty_like(thresholds)
     for i, y in enumerate(thresholds):
         y_eff = y - slack
         if y_eff < q0:
-            out[i] = max(1.0, float(fg.value(0.0)))
+            out[i] = vacuous
             continue
         lo, hi = 0.0, 1.0
         while quantile(hi) <= y_eff:
@@ -378,6 +387,7 @@ def simulate(s: Scenario, schedule: Schedule, cfg: TraceConfig,
                 "horizon": cfg.horizon, "eval_time": float(ts[k_eval]), "path": pid}
 
         fg = bf_convolve(arrival.bounding, service.bounding)
+        vacuous = max(1.0, float(fg.value(0.0)))
         # grids top out where the bound drops to the resolution of the run count
         p_floor = max(float(wilson_upper(np.zeros(1), cfg.runs)[0]), 1e-6)
         x_top = bf_invert(fg, p_floor / 2)
@@ -390,11 +400,8 @@ def simulate(s: Scenario, schedule: Schedule, cfg: TraceConfig,
             q_hint = cfg.horizon / 4
         thr = _threshold_grid(max(q_hint * 0.1, cfg.time_step), q_hint + 5 * cfg.time_step)
         bounds = _delay_bound_curve(arrival, service, thr, 2 * cfg.time_step, quantile)
-        k = (delays[None, :] > thr[:, None]).sum(axis=1)
-        emp, ci = k / cfg.runs, wilson_upper(k, cfg.runs)
-        reports.append(TailReport("delay", pid, thr, emp, ci, bounds,
-                                  _points_pass(k, ci, bounds, cfg.runs),
-                                  meta | {"censored": float(censored.sum()) / cfg.runs}))
+        reports.append(_tail_report("delay", pid, thr, delays, bounds,
+                                    meta | {"censored": float(censored.sum()) / cfg.runs}))
 
         # --- backlog ---
         try:
@@ -404,15 +411,12 @@ def simulate(s: Scenario, schedule: Schedule, cfg: TraceConfig,
         step_bits = float(service.curve.final_slope) * cfg.time_step
         if dev == INF:  # rate-overloaded path: vacuous bounds
             thr_b = _threshold_grid(step_bits, float(np.max(backlogs)) * 1.5 + 1.0)
-            bounds_b = np.full_like(thr_b, max(1.0, float(fg.value(0.0))))
+            bounds_b = np.full_like(thr_b, vacuous)
         else:
             thr_b = _threshold_grid(max(dev * 0.25, step_bits), dev + x_top + 2 * step_bits)
             bounds_b = np.array([float(fg.value(x - 2 * step_bits - dev)) if not fg.is_zero
                                  else (1.0 if x - 2 * step_bits < dev else 0.0) for x in thr_b])
-        k = (backlogs[None, :] > thr_b[:, None]).sum(axis=1)
-        emp, ci = k / cfg.runs, wilson_upper(k, cfg.runs)
-        reports.append(TailReport("backlog", pid, thr_b, emp, ci, bounds_b,
-                                  _points_pass(k, ci, bounds_b, cfg.runs), dict(meta)))
+        reports.append(_tail_report("backlog", pid, thr_b, backlogs, bounds_b, dict(meta)))
 
         # --- backlog within delay ---
         if within_delay is not None:
@@ -420,14 +424,11 @@ def simulate(s: Scenario, schedule: Schedule, cfg: TraceConfig,
             shift = float(-c) if c != -INF else 0.0
             thr_w = _threshold_grid(max(shift * 0.25, step_bits), shift + x_top + 2 * step_bits)
             if c == -INF:
-                bounds_w = np.full_like(thr_w, max(1.0, float(fg.value(0.0))))
+                bounds_w = np.full_like(thr_w, vacuous)
             else:
                 bounds_w = np.array([float(fg.value(x - 2 * step_bits + float(c))) for x in thr_w])
-            k = (bwd[None, :] > thr_w[:, None]).sum(axis=1)
-            emp, ci = k / cfg.runs, wilson_upper(k, cfg.runs)
-            reports.append(TailReport("backlog_within_delay", pid, thr_w, emp, ci, bounds_w,
-                                      _points_pass(k, ci, bounds_w, cfg.runs),
-                                      meta | {"within_delay": within_delay}))
+            reports.append(_tail_report("backlog_within_delay", pid, thr_w, bwd, bounds_w,
+                                        meta | {"within_delay": within_delay}))
     return reports
 
 

@@ -8,14 +8,13 @@ group is captured by aggregate coefficients: a subset of k identical sources
 carries ``coeff(k)`` times the single-source information, with
 ``1 <= coeff(k) <= k`` and coeff non-decreasing in k.
 
-Logarithms default to base 2 (bits); pass ``base=math.e`` for nats.
+Information is entropy in bits: every logarithm is base 2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -26,6 +25,7 @@ from .curves import Curve, Segment
 from .errors import DegenerateVariance, InconsistentGroup, NumericalSingularity
 
 TWO_PI_E = 2.0 * math.pi * math.e
+LN2 = math.log(2.0)
 #: log-determinant oracle caps the covariance block size here
 MAX_BLOCK = 64
 
@@ -80,7 +80,7 @@ def _innovation(eta: float) -> float:
     return -math.expm1(-2.0 / eta)
 
 
-def gaussian_arrival_curve(m: SourceModel, base: float = 2.0) -> IsaSpec:
+def gaussian_arrival_curve(m: SourceModel) -> IsaSpec:
     """Deterministic arrival model of one source.
 
     First segment (one sampling interval): slope ``log(2*pi*e*sigma^2)/(2*delta)``;
@@ -88,20 +88,19 @@ def gaussian_arrival_curve(m: SourceModel, base: float = 2.0) -> IsaSpec:
     ``log(2*pi*e*sigma^2*(1 - e^{-2/eta}))/(2*delta)`` with the positive offset
     ``-log(1 - e^{-2/eta})/2``.  Both branches agree at the interval boundary.
     """
-    lb = math.log(base)
     q = _innovation(m.eta)
     long_arg = TWO_PI_E * m.sigma2 * q
     if long_arg <= 1.0:
         raise DegenerateVariance(
             f"2*pi*e*sigma2*(1-e^(-2/eta)) = {long_arg} <= 1: long-term entropy rate not positive")
-    slope1 = math.log(TWO_PI_E * m.sigma2) / lb / (2.0 * m.delta)
-    slope2 = math.log(long_arg) / lb / (2.0 * m.delta)
+    slope1 = math.log(TWO_PI_E * m.sigma2) / LN2 / (2.0 * m.delta)
+    slope2 = math.log(long_arg) / LN2 / (2.0 * m.delta)
     knee = slope1 * m.delta  # = -log(1-q)/2 + slope2*delta, continuity by construction
     curve = Curve([Segment(0.0, slope1, 0.0), Segment(m.delta, slope2, knee)])
     return IsaSpec(ZeroBound(), curve)
 
 
-def entropy_of_gaussian_block(m: SourceModel, t: int, base: float = 2.0) -> float:
+def entropy_of_gaussian_block(m: SourceModel, t: int) -> float:
     """Differential entropy of ``t`` consecutive samples via the covariance
     log-determinant: the independent oracle for :func:`gaussian_arrival_curve`."""
     if t < 1:
@@ -113,21 +112,21 @@ def entropy_of_gaussian_block(m: SourceModel, t: int, base: float = 2.0) -> floa
     sign, logdet = np.linalg.slogdet(cov)
     if sign <= 0 or not np.isfinite(logdet):
         raise NumericalSingularity(f"covariance determinant degenerate for t={t}")
-    return 0.5 * (t * math.log(TWO_PI_E) + logdet) / math.log(base)
+    return 0.5 * (t * math.log(TWO_PI_E) + logdet) / LN2
 
 
-def calibrate_sigma2(target_rate: float, delta: float, eta: float, base: float = 2.0) -> float:
+def calibrate_sigma2(target_rate: float, delta: float, eta: float) -> float:
     """Variance for which the long-term information rate equals ``target_rate``.
 
     The per-sample entropy ``2*delta*target_rate`` must stay within float64
     range (about 1000 bits); beyond that the variance is not representable.
     """
-    bits = 2.0 * delta * target_rate * math.log(base) / math.log(2.0)
+    bits = 2.0 * delta * target_rate
     if bits > 1000.0:
         raise ValueError(
             f"per-sample entropy {bits:.0f} bits exceeds the representable variance range")
     q = _innovation(eta)
-    sigma2 = base ** (2.0 * delta * target_rate) / (TWO_PI_E * q)
+    sigma2 = 2.0 ** bits / (TWO_PI_E * q)
     if not math.isfinite(sigma2):
         raise ValueError(f"variance for {target_rate:g} bit/s at eta={eta:g} is not representable")
     return sigma2
@@ -145,10 +144,10 @@ def _require_symmetric(sources: Sequence[SourceModel]) -> SourceModel:
     return first
 
 
-def _single_rate(src: SourceModel, base: float = 2.0) -> float:
+def _single_rate(src: SourceModel) -> float:
     """Asymptotic rate of one source: the final slope of its arrival curve
     (so a curve whose two segments merged reads the merged slope)."""
-    return gaussian_arrival_curve(src, base=base).curve.final_slope
+    return gaussian_arrival_curve(src).curve.final_slope
 
 
 def _by_group(sources: Sequence[SourceModel]) -> dict[str, list[SourceModel]]:
@@ -158,20 +157,18 @@ def _by_group(sources: Sequence[SourceModel]) -> dict[str, list[SourceModel]]:
     return by_group
 
 
-def group_information(sources: Sequence[SourceModel], spatial: SpatialModel,
-                      base: float = 2.0) -> IsaSpec:
+def group_information(sources: Sequence[SourceModel], spatial: SpatialModel) -> IsaSpec:
     """Combined arrival model of same-group sources: the single-source curve
     scaled by the group's aggregate coefficient for the subset size."""
     if not sources:
         raise ValueError("group_information needs at least one source")
     first = _require_symmetric(sources)
-    single = gaussian_arrival_curve(first, base=base)
+    single = gaussian_arrival_curve(first)
     coeff = spatial.coefficient(first.group_id, len(sources))
     return IsaSpec(ZeroBound(), single.curve.scale(coeff))
 
 
-def aggregate_information(sources: Sequence[SourceModel], spatial: SpatialModel,
-                          base: float = 2.0) -> IsaSpec:
+def aggregate_information(sources: Sequence[SourceModel], spatial: SpatialModel) -> IsaSpec:
     """Arrival model of an arbitrary source set: coefficients within groups,
     independent addition across groups."""
     if not sources:
@@ -179,7 +176,7 @@ def aggregate_information(sources: Sequence[SourceModel], spatial: SpatialModel,
     by_group = _by_group(sources)
     curve = None
     for group in sorted(by_group):
-        part = group_information(by_group[group], spatial, base=base).curve
+        part = group_information(by_group[group], spatial).curve
         curve = part if curve is None else curve + part
     return IsaSpec(ZeroBound(), curve)
 
@@ -218,26 +215,24 @@ def _subset_redundancy_rate(sources: Sequence[SourceModel], spatial: SpatialMode
     return float(total_single - _aggregate_rate(sources, spatial, rate))
 
 
-def aggregate_rate(sources: Sequence[SourceModel], spatial: SpatialModel,
-                   base: float = 2.0) -> float:
+def aggregate_rate(sources: Sequence[SourceModel], spatial: SpatialModel) -> float:
     """Asymptotic rate of :func:`aggregate_information`, summed as scalars
     (see :func:`_aggregate_rate`)."""
-    return _aggregate_rate(sources, spatial, partial(_single_rate, base=base))
+    return _aggregate_rate(sources, spatial, _single_rate)
 
 
-def subset_redundancy_rate(sources: Sequence[SourceModel], spatial: SpatialModel,
-                           base: float = 2.0) -> float:
+def subset_redundancy_rate(sources: Sequence[SourceModel], spatial: SpatialModel) -> float:
     """Asymptotic rate of the redundant information of a source set:
     ``sum_i H(A_i) - H(sum_i A_i)`` per unit time."""
-    return _subset_redundancy_rate(sources, spatial, partial(_single_rate, base=base))
+    return _subset_redundancy_rate(sources, spatial, _single_rate)
 
 
 def marginal_redundancy_rate(candidate: SourceModel, chosen: Sequence[SourceModel],
-                             spatial: SpatialModel, base: float = 2.0) -> float:
+                             spatial: SpatialModel) -> float:
     """Redundancy-rate increase of adding ``candidate`` to ``chosen``: the
     quantity the best-fit-largest-redundancy greedy maximizes."""
-    base_red = subset_redundancy_rate(list(chosen), spatial, base=base)
-    new_red = subset_redundancy_rate(list(chosen) + [candidate], spatial, base=base)
+    base_red = subset_redundancy_rate(list(chosen), spatial)
+    new_red = subset_redundancy_rate(list(chosen) + [candidate], spatial)
     return new_red - base_red
 
 

@@ -1,5 +1,6 @@
 """RateCal, dominance pruning, BFLR scheduling and the delivery-ratio bound."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -40,7 +41,10 @@ from infocalc.scenario import (
     Node,
     Path,
     Scenario,
+    case_study_scenario,
     effective_path_service,
+    parse_scenario,
+    serialize_scenario,
 )
 from infocalc.sources import (
     SourceModel,
@@ -52,6 +56,7 @@ from infocalc.sources import (
 
 R = 8000.0
 PINNED_RATIOS = FsPath(__file__).parent / "data" / "ratio_paired_six.json"
+ANSWERS_GOLDEN = FsPath(__file__).parent / "data" / "answers_golden.json"
 
 
 def three_path_example() -> Scenario:
@@ -467,17 +472,17 @@ class TestAnalysisContext:
         rates, curves, arrivals = Counter(), Counter(), Counter()
         single, aggregate = sources.gaussian_arrival_curve, algorithms.aggregate_information
 
-        def counted_rate(src, base=2.0):
+        def counted_rate(src):
             rates[src.id] += 1
-            return single(src, base)
+            return single(src)
 
-        def counted_curve(src, base=2.0):
+        def counted_curve(src):
             curves[src.id] += 1
-            return single(src, base)
+            return single(src)
 
-        def counted_arrival(srcs, spatial, base=2.0):
+        def counted_arrival(srcs, spatial):
             arrivals[frozenset(src.id for src in srcs)] += 1
-            return aggregate(srcs, spatial, base)
+            return aggregate(srcs, spatial)
 
         monkeypatch.setattr(algorithms, "gaussian_arrival_curve", counted_rate)
         monkeypatch.setattr(sources, "gaussian_arrival_curve", counted_curve)
@@ -631,18 +636,22 @@ def tie_scenario() -> Scenario:
     return Scenario((source,), SpatialModel({"g0": {2: 1.9, 3: 2.7}}), paths, impairments)
 
 
+def built_cases(case_study, case_study_exact):
+    """(name, scenario, overrides) of the hand-built search cases."""
+    return [("case_study", case_study, None),
+            ("paper_table1", case_study, PAPER_TABLE1_BOUNDINGS),
+            ("exact", case_study_exact, None),
+            ("exact_paper_table1", case_study_exact, PAPER_TABLE1_BOUNDINGS),
+            ("paired_six", paired_six_paths(case_study), None),
+            ("kpath8", kpath(case_study, 8), None),
+            ("kpath10", kpath(case_study, 10), None),
+            ("tie", tie_scenario(), None)]
+
+
 def search_cases(case_study, case_study_exact):
     """(name, scenario, overrides) for the best-first search tests."""
-    cases = [("case_study", case_study, None),
-             ("paper_table1", case_study, PAPER_TABLE1_BOUNDINGS),
-             ("exact", case_study_exact, None),
-             ("exact_paper_table1", case_study_exact, PAPER_TABLE1_BOUNDINGS),
-             ("paired_six", paired_six_paths(case_study), None),
-             ("kpath8", kpath(case_study, 8), None),
-             ("kpath10", kpath(case_study, 10), None),
-             ("tie", tie_scenario(), None)]
-    return cases + [(f"random{seed}", random_scenario(np.random.default_rng(seed)), None)
-                    for seed in range(30)]
+    return built_cases(case_study, case_study_exact) + [
+        (f"random{seed}", random_scenario(np.random.default_rng(seed)), None) for seed in range(30)]
 
 
 class TestBestFirst:
@@ -863,3 +872,56 @@ class TestClosedFamily:
     def test_random_scenarios(self, seed):
         bounds = tail_bounds(random_scenario(np.random.default_rng(seed)))
         assert all(isinstance(bound, (ExpBound, ZeroBound)) for bound in bounds)
+
+
+# ---------------------------------------------------------------------------
+# Pinned answers: one digest per (scenario, query)
+# ---------------------------------------------------------------------------
+
+GOLDEN_CELLS = ((0.035, 1e-3), (0.015, 0.15))
+
+
+def golden_cases(texts):
+    """``search_cases`` with the random scenarios read from their recorded
+    ``serialize_scenario`` texts, so that no RNG change can move them."""
+    return built_cases(case_study_scenario(), case_study_scenario(exact=True)) + [
+        (name, parse_scenario(text), None) for name, text in texts.items()]
+
+
+def answer_digests(s, overrides) -> dict[str, str]:
+    """sha256 of the ``repr`` of each query's answer: ``ratecal`` and
+    ``feasible_rates`` with ``prune`` both ways, ``bflr`` and ``bflr_table``
+    with ``prune`` both ways at each cell, and ``delivery_ratio_table`` over
+    the above-rate subsets at each cell with horizon 0.06."""
+    answers = {}
+    for prune in (False, True):
+        answers[f"ratecal prune={prune}"] = ratecal(s, prune, overrides)
+        answers[f"feasible_rates prune={prune}"] = feasible_rates(s, prune, overrides)
+        for delay, p in GOLDEN_CELLS:
+            answers[f"bflr prune={prune} D={delay} p={p}"] = bflr(s, delay, p, prune, overrides)
+            answers[f"bflr_table prune={prune} D={delay} p={p}"] = bflr_table(
+                s, delay, p, prune, overrides)
+    subsets = [r.subset for r in answers["feasible_rates prune=False"]]
+    for delay, p in GOLDEN_CELLS:
+        answers[f"delivery_ratio_table D={delay} p={p}"] = delivery_ratio_table(
+            s, subsets, delay, p, 0.06, overrides)
+    return {key: hashlib.sha256(repr(value).encode()).hexdigest()
+            for key, value in answers.items()}
+
+
+def test_answers_equal_recorded():
+    golden = json.loads(ANSWERS_GOLDEN.read_text())
+    cases = golden_cases(golden["scenarios"])
+    got = {name: answer_digests(s, overrides) for name, s, overrides in cases}
+    assert got.keys() == golden["answers"].keys()
+    for name, digests in got.items():
+        assert digests == golden["answers"][name], name
+
+
+if __name__ == "__main__":
+    # rewrite the golden file: PYTHONPATH=src:tests python tests/test_algorithms.py
+    texts = {f"random{seed}": serialize_scenario(random_scenario(np.random.default_rng(seed)))
+             for seed in range(30)}
+    answers = {name: answer_digests(s, overrides) for name, s, overrides in golden_cases(texts)}
+    ANSWERS_GOLDEN.write_text(json.dumps({"scenarios": texts, "answers": answers},
+                                         indent=1, sort_keys=True) + "\n")

@@ -77,11 +77,6 @@ class TestArrivalCurve:
         with pytest.raises(DegenerateVariance):
             gaussian_arrival_curve(SourceModel("x", 1e-6, 1e6, DELTA, "g"))
 
-    def test_nats_switch(self, source):
-        bits = gaussian_arrival_curve(source, base=2.0).curve
-        nats = gaussian_arrival_curve(source, base=math.e).curve
-        assert float(nats.final_slope) == pytest.approx(float(bits.final_slope) * math.log(2.0))
-
 
 class TestBlockEntropyOracle:
     def test_scalar_block(self, source):
