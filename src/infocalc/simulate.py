@@ -23,9 +23,14 @@ step, and each chunk is reduced at once to the per-run samples the reports
 read (delay, backlog, backlog within delay).  Memory is therefore
 O(CHUNK_RUNS x steps) plus O(runs), whatever the run count.
 
-The delay bound curve shares one memoized inverse of the delay bound per
-report: the thresholds' bisections and the grid's top probe read the same
-memo of delay quantiles.
+The delay bound curve inverts the delay quantile q(x) = h(alpha + x, [beta]^x)
+(Jiang & Liu, *Stochastic Network Calculus*, 2008) in closed form.  Every
+effective path service is affine, beta(t) = R t + c (rate-latency nodes,
+affine impairments, affine convolutions), so on a non-overloaded path
+q(x) = max(0, K + x/R), K = max (alpha(s) - c)/R - s over the segment starts
+s where alpha is positive or rising (q = 0 for a zero alpha), and x = R (y - K)
+is the largest level with q(x) <= y.  Each level is probed once with the real
+operator and stepped down with ``math.nextafter`` until the probe holds.
 """
 
 from __future__ import annotations
@@ -33,13 +38,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .bounding import bf_convolve, bf_invert
+from .bounding import BoundingFunction, bf_convolve, bf_invert
 from .calculus import IsaSpec, IssSpec, service_deficit
-from .curves import INF, deconvolve, horizontal_deviation
+from .curves import INF, Curve, deconvolve, horizontal_deviation
 from .errors import ConfigError, InfiniteDeviation, UnboundedDeconvolution
 from .scenario import ImpairmentEntry, Node, Scenario, effective_path_service
 from .sources import aggregate_information
@@ -231,6 +235,13 @@ def impairment_selfcheck(entry: ImpairmentEntry, node: Node, cfg: TraceConfig) -
 # ---------------------------------------------------------------------------
 
 
+def _cumulative(curve: Curve, ts: np.ndarray) -> np.ndarray:
+    """``curve.value`` at every time of ``ts``, in float arithmetic."""
+    starts, slopes, values = np.array(curve.segments, dtype=float).T
+    seg = np.searchsorted(starts, ts, "right") - 1
+    return values[seg] + slopes[seg] * (ts - starts[seg])
+
+
 def _serve_path(arrival_cum: np.ndarray, path_nodes: list[Node],
                 node_impairments: list[np.ndarray | None], runs: int,
                 time_step: float) -> np.ndarray:
@@ -276,52 +287,39 @@ def _threshold_grid(lo: float, hi: float, n: int = 20) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _delay_quantile(arrival: IsaSpec, service: IssSpec) -> Callable[[float], float]:
-    """The delay quantile at bound level x, the inverse of the delay bound:
-    the horizontal deviation of the arrival curve raised by x from the
-    service curve floored at x.  It is pure in x, so one report keeps one
-    memo of its probes and no probe is evaluated twice."""
-    probes: dict[float, float] = {}
-
-    def quantile(x: float) -> float:
-        q = probes.get(x)
-        if q is None:
-            q = probes[x] = horizontal_deviation(arrival.curve.shift_up(x),
-                                                 service.curve.floor_at(x))
-        return q
-
-    return quantile
+def _quantile(arrival: IsaSpec, service: IssSpec, x: float) -> float:
+    """The delay quantile at bound level x: the horizontal deviation of the
+    arrival curve raised by x from the service curve floored at x."""
+    return horizontal_deviation(arrival.curve.shift_up(x), service.curve.floor_at(x))
 
 
-def _delay_bound_curve(arrival: IsaSpec, service: IssSpec, thresholds: np.ndarray,
-                       slack: float, quantile: Callable[[float], float]) -> np.ndarray:
-    """Analytic Prob{D > y} bound per threshold y (1.0 below the zero-slack
-    quantile, where the delay bound makes no claim), bisecting
-    ``quantile = _delay_quantile(arrival, service)`` per threshold."""
-    fg = bf_convolve(arrival.bounding, service.bounding)
-    vacuous = max(1.0, float(fg.value(0.0)))
+def _delay_bound_curve(arrival: IsaSpec, service: IssSpec, fg: BoundingFunction,
+                       vacuous: float, thresholds: np.ndarray, slack: float) -> np.ndarray:
+    """Analytic Prob{D > y} bound ``fg(x)`` per threshold y, at the closed-form
+    level x (module docstring) whose delay quantile is at most y - ``slack``;
+    ``vacuous`` below the zero-level quantile, where the bound makes no claim."""
+    if len(service.curve.segments) != 1:
+        raise TypeError(f"delay bound curve needs an affine service, got {service.curve!r}")
     if arrival.curve.final_slope > service.curve.final_slope:
         # rate-overloaded path: no finite claim at any threshold
         return np.full_like(thresholds, vacuous)
-    q0 = quantile(0.0)
+    _, rate, offset = (float(v) for v in service.curve.segments[0])
+    k = max(((float(seg.value) - offset) / rate - float(seg.start)
+             for seg in arrival.curve.segments if seg.value > 0 or seg.slope > 0), default=None)
+    q0 = _quantile(arrival, service, 0.0)
     out = np.empty_like(thresholds)
     for i, y in enumerate(thresholds):
         y_eff = y - slack
         if y_eff < q0:
             out[i] = vacuous
             continue
-        lo, hi = 0.0, 1.0
-        while quantile(hi) <= y_eff:
-            hi *= 2
-            if hi > 1e9:
-                break
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if quantile(mid) <= y_eff:
-                lo = mid
-            else:
-                hi = mid
-        out[i] = float(fg.value(lo))
+        if k is None:  # zero arrival: the quantile is 0 at every level
+            out[i] = float(fg.value(INF))
+            continue
+        x = max(0.0, rate * (y_eff - k))
+        while x > 0 and _quantile(arrival, service, x) > y_eff:
+            x = math.nextafter(x, 0.0)
+        out[i] = float(fg.value(x))
     return out
 
 
@@ -355,7 +353,7 @@ def simulate(s: Scenario, schedule: Schedule, cfg: TraceConfig,
     for pid in schedule.subset:
         sources = [src for src in s.sources if schedule.assignment.get(src.id) == pid]
         arrival = aggregate_information(sources, s.spatial)
-        arrival_cum = np.array([float(arrival.curve.value(t)) for t in ts])
+        arrival_cum = _cumulative(arrival.curve, ts)
         path = s.path(pid)
         node_entries = [[i for i, entry in enumerate(s.impairments)
                          if i in entry_draws and (pid, idx) in (entry.a, entry.b)]
@@ -393,13 +391,12 @@ def simulate(s: Scenario, schedule: Schedule, cfg: TraceConfig,
         x_top = bf_invert(fg, p_floor / 2)
 
         # --- delay ---
-        quantile = _delay_quantile(arrival, service)
         try:
-            q_hint = quantile(x_top)
+            q_hint = _quantile(arrival, service, x_top)
         except InfiniteDeviation:
             q_hint = cfg.horizon / 4
         thr = _threshold_grid(max(q_hint * 0.1, cfg.time_step), q_hint + 5 * cfg.time_step)
-        bounds = _delay_bound_curve(arrival, service, thr, 2 * cfg.time_step, quantile)
+        bounds = _delay_bound_curve(arrival, service, fg, vacuous, thr, 2 * cfg.time_step)
         reports.append(_tail_report("delay", pid, thr, delays, bounds,
                                     meta | {"censored": float(censored.sum()) / cfg.runs}))
 
