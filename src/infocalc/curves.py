@@ -158,7 +158,8 @@ class Curve:
         t_cross = self.first_reach(x)
         if t_cross == INF:
             return Curve([Segment(0, 0 * self.segments[0].slope, x)])
-        segs = [Segment(0, 0 * self.segments[0].slope, x)]
+        # a crossing that rounds to t = 0 leaves no room for the flat part
+        segs = [Segment(0, 0 * self.segments[0].slope, x)] if t_cross > 0 else []
         for i, seg in enumerate(self.segments):
             end = self.segments[i + 1].start if i + 1 < len(self.segments) else INF
             if seg.start > t_cross:

@@ -21,7 +21,10 @@ entry, in one fixed order, so a seed fixes every run.  Runs are then served
 (steps x runs), the tandem recursion advances one contiguous row per time
 step, and each chunk is reduced at once to the per-run samples the reports
 read (delay, backlog, backlog within delay).  Memory is therefore
-O(CHUNK_RUNS x steps) plus O(runs), whatever the run count.
+O(CHUNK_RUNS x steps) plus O(runs), whatever the run count.  Nodes before a
+path's first impaired node are deterministic: they are served once per flow,
+as one column, and runs pay only from the first impaired node on.  A path
+with no impaired node is served once; every run gets its samples.
 
 The delay bound curve inverts the delay quantile q(x) = h(alpha + x, [beta]^x)
 (Jiang & Liu, *Stochastic Network Calculus*, 2008) in closed form.  Every
@@ -38,6 +41,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -242,13 +246,38 @@ def _cumulative(curve: Curve, ts: np.ndarray) -> np.ndarray:
     return values[seg] + slopes[seg] * (ts - starts[seg])
 
 
+def _latency_steps(node: Node, time_step: float) -> int:
+    """A node's latency in whole steps, rounded up."""
+    return int(math.ceil(float(node.latency) / time_step - 1e-12))
+
+
+def _serve_head(arrival_cum: np.ndarray, path_nodes: list[Node], time_step: float) -> np.ndarray:
+    """Cumulative output ((steps+1),) of the unimpaired nodes ``path_nodes``
+    fed the deterministic ``arrival_cum``.  It is the same in every run, so
+    it is served once, as one column in plain floats, by the recursion of
+    ``_serve_path`` with the same float add and min, bit for bit."""
+    x = arrival_cum.tolist()
+    for node in path_nodes:
+        k_d = _latency_steps(node, time_step)
+        full = float(node.rate) * time_step
+        out = [0.0] * len(x)
+        prev = 0.0  # rows before the latency stay zero
+        for k in range(max(k_d, 1), len(x)):
+            out[k] = prev = min(x[k - k_d], prev + full)
+        x = out
+    return np.array(x)
+
+
 def _serve_path(arrival_cum: np.ndarray, path_nodes: list[Node],
                 node_impairments: list[np.ndarray | None], runs: int,
                 time_step: float) -> np.ndarray:
-    """Push a deterministic fluid arrival through the path's tandem of
-    latency-rate servers; returns the cumulative output of ``runs`` runs,
-    time-major ((steps+1) x runs).  A node's impairment is its (steps x runs)
-    increment matrix, or None.
+    """Push a fluid input ((steps+1),), the same in every run, through the
+    path's tandem of latency-rate servers; returns the cumulative output of
+    ``runs`` runs, time-major ((steps+1) x runs).  A node's impairment is
+    its (steps x runs) increment matrix, or None for a constant capacity of
+    rate x step.  ``simulate`` passes only a path's nodes from its first
+    impaired one on, fed the output of the unimpaired head before them
+    (``_serve_head``).
 
     Output at step k is min(input at k - latency, output at k-1 + capacity
     of step k-1): each step reads and writes whole contiguous rows.
@@ -256,12 +285,12 @@ def _serve_path(arrival_cum: np.ndarray, path_nodes: list[Node],
     steps = len(arrival_cum) - 1
     x = arrival_cum[:, None]
     for node, imp in zip(path_nodes, node_impairments):
-        k_d = int(math.ceil(float(node.latency) / time_step - 1e-12))
+        k_d = _latency_steps(node, time_step)
         full = float(node.rate) * time_step
-        cap = np.full((steps, 1), full) if imp is None else np.maximum(full - imp, 0.0)
         out = np.zeros((steps + 1, runs))
         k0 = max(k_d, 1)  # rows before the latency stay zero
-        for prev, step_cap, inp, row in zip(out[k0 - 1:], cap[k0 - 1:], x[k0 - k_d:], out[k0:]):
+        cap = repeat(full) if imp is None else np.maximum(full - imp, 0.0)[k0 - 1:]
+        for prev, step_cap, inp, row in zip(out[k0 - 1:], cap, x[k0 - k_d:], out[k0:]):
             np.add(prev, step_cap, out=row)
             np.minimum(inp, row, out=row)
         x = out
@@ -279,6 +308,15 @@ def _delay_samples(arrival_cum: np.ndarray, out_cum: np.ndarray, k_eval: int,
     never = ~reached.any(axis=0)
     first[never] = tail.shape[0]  # censored: at least the remaining horizon
     return first * time_step, never
+
+
+def _samples(arrival_cum: np.ndarray, out_cum: np.ndarray, k_eval: int, k_out: int,
+             time_step: float) -> np.ndarray:
+    """Per run of the time-major ``out_cum``: delay, backlog, backlog within
+    delay (read at ``k_out``) and censored delay (0/1), as (4 x runs)."""
+    delays, censored = _delay_samples(arrival_cum, out_cum, k_eval, time_step)
+    target = arrival_cum[k_eval]
+    return np.stack([delays, target - out_cum[k_eval], target - out_cum[k_out], censored])
 
 
 def _threshold_grid(lo: float, hi: float, n: int = 20) -> np.ndarray:
@@ -350,36 +388,39 @@ def simulate(s: Scenario, schedule: Schedule, cfg: TraceConfig,
     if within_delay is not None:
         k_out = min(k_eval + int(round(within_delay / cfg.time_step)), steps)
     flows = []
+    served = []  # flows with an impaired node: (arrival, head output, rest of path, samples)
     for pid in schedule.subset:
         sources = [src for src in s.sources if schedule.assignment.get(src.id) == pid]
         arrival = aggregate_information(sources, s.spatial)
         arrival_cum = _cumulative(arrival.curve, ts)
-        path = s.path(pid)
+        nodes = list(s.path(pid).nodes)
         node_entries = [[i for i, entry in enumerate(s.impairments)
                          if i in entry_draws and (pid, idx) in (entry.a, entry.b)]
-                        for idx in range(len(path.nodes))]
-        # per run: delay, backlog, backlog within delay, censored delay (0/1)
-        flows.append((pid, arrival, arrival_cum, list(path.nodes), node_entries,
-                      np.empty((4, cfg.runs))))
+                        for idx in range(len(nodes))]
+        first = next((idx for idx, entries in enumerate(node_entries) if entries), len(nodes))
+        head_cum = _serve_head(arrival_cum, nodes[:first], cfg.time_step)
+        samples = np.empty((4, cfg.runs))
+        if first == len(nodes):  # no impaired node: every run has the head's samples
+            samples[:] = _samples(arrival_cum, head_cum[:, None], k_eval, k_out, cfg.time_step)
+        else:
+            served.append((arrival_cum, head_cum, nodes[first:], node_entries[first:], samples))
+        flows.append((pid, arrival, samples))
 
     for lo in range(0, cfg.runs, CHUNK_RUNS):
         hi = min(lo + CHUNK_RUNS, cfg.runs)
         incs = {i: _increments(draws[:, lo:hi], steps) for i, draws in entry_draws.items()}
-        for _, _, arrival_cum, nodes, node_entries, samples in flows:
+        for arrival_cum, head_cum, nodes, node_entries, samples in served:
             node_imps = []
             for entries in node_entries:
                 total = None
                 for i in entries:
                     total = incs[i] if total is None else total + incs[i]
                 node_imps.append(total)
-            out_cum = _serve_path(arrival_cum, nodes, node_imps, hi - lo, cfg.time_step)
-            samples[0, lo:hi], samples[3, lo:hi] = _delay_samples(arrival_cum, out_cum, k_eval,
-                                                                  cfg.time_step)
-            samples[1, lo:hi] = arrival_cum[k_eval] - out_cum[k_eval]
-            samples[2, lo:hi] = arrival_cum[k_eval] - out_cum[k_out]
+            out_cum = _serve_path(head_cum, nodes, node_imps, hi - lo, cfg.time_step)
+            samples[:, lo:hi] = _samples(arrival_cum, out_cum, k_eval, k_out, cfg.time_step)
 
     reports: list[TailReport] = []
-    for pid, arrival, _, _, _, (delays, backlogs, bwd, censored) in flows:
+    for pid, arrival, (delays, backlogs, bwd, censored) in flows:
         service = effective_path_service(s, active, pid)
         meta = {"runs": cfg.runs, "seed": cfg.seed, "time_step": cfg.time_step,
                 "horizon": cfg.horizon, "eval_time": float(ts[k_eval]), "path": pid}

@@ -213,6 +213,16 @@ class TestTransforms:
             out = c.floor_at(0.5)
             assert len(out.segments) <= len(c.segments) + 1
 
+    @pytest.mark.parametrize("curve, x", [
+        (Curve.affine(1000.0, 0.0), 5e-324),
+        (Curve.affine(1000.0, 6.267719375448164e-307), 6.267719375448166e-307),
+    ])
+    def test_floor_crossing_that_rounds_to_zero(self, curve, x):
+        # first_reach(x) rounds to 0: no zero-length flat segment at t = 0
+        out = curve.floor_at(x)
+        for t in (0.0, 1e-9, 1e-3, 1.0, 10.0):
+            assert out.value(t) == pytest.approx(max(curve.value(t), x), rel=1e-12)
+
     def test_shift_up(self):
         assert Curve.affine(3.0).shift_up(5.0) == Curve.affine(3.0, 5.0)
 
