@@ -2,19 +2,21 @@
 
 A tail bound is a non-negative, wide-sense decreasing function of the
 excess ``x``; it upper-bounds the probability that a process exceeds its
-envelope by more than ``x``.  Two families make up the algebra, and every
-operator takes and returns only these (any other bound is a ``TypeError``):
+envelope by more than ``x``, and claims so only from its shift on (Jiang &
+Liu, *Stochastic Network Calculus*, 2008).  Below the shift it reads at
+least 1, which claims nothing, so a caller may evaluate a bound at any x,
+-inf included.  Two families make up the algebra, and every operator takes
+and returns only these (any other bound is a ``TypeError``):
 
-* ``ZeroBound``, identically zero: the deterministic case;
-* ``ExpBound``, ``a*exp(-(x-x0)/b)`` with value ``a`` below ``x0``.
+* ``ZeroBound``, 0 from 0 on and 1 below: the deterministic case;
+* ``ExpBound``, ``a*exp(-(x-x0)/b)`` from ``x0`` on and ``max(a, 1)`` below.
 
-They compose in closed form (Jiang & Liu, *Stochastic Network Calculus*,
-2008).  ``bf_convolve`` takes the proportional-split upper bound on the
-min-plus infimum, ``a1*e^{-x/b1} (x) a2*e^{-x/b2} -> (a1+a2)*e^{-x/(b1+b2)}``
-with offsets adding; ``bf_invert`` and ``shift_bound`` act on the
-parameters.  Bounds are not clamped to 1 (the composed coefficients
-routinely exceed 1 near x=0); callers clamp where a true probability is
-needed.
+They compose in closed form.  ``bf_convolve`` takes the proportional-split
+upper bound on the min-plus infimum,
+``a1*e^{-x/b1} (x) a2*e^{-x/b2} -> (a1+a2)*e^{-x/(b1+b2)}`` with offsets
+adding; ``bf_invert`` and ``shift_bound`` act on the parameters.  From the
+shift on, bounds are not clamped to 1 (the composed coefficients routinely
+exceed 1 near x=0); callers clamp where a true probability is needed.
 """
 
 from __future__ import annotations
@@ -41,10 +43,10 @@ class BoundingFunction:
 
 
 class ZeroBound(BoundingFunction):
-    """Identically zero for x >= 0: the deterministic case."""
+    """Zero for x >= 0, 1 below: the deterministic case."""
 
     def value(self, x):
-        return 0.0
+        return 1.0 if x < 0 else 0.0
 
     @property
     def is_zero(self) -> bool:
@@ -61,7 +63,7 @@ class ZeroBound(BoundingFunction):
 
 
 class ExpBound(BoundingFunction):
-    """``a * exp(-(x - x0)/b)`` for ``x >= x0``, constant ``a`` below ``x0``.
+    """``a * exp(-(x - x0)/b)`` for ``x >= x0``, ``max(a, 1)`` below ``x0``.
 
     Parameters may be floats or Fractions; composition keeps them exact.
     """
@@ -80,7 +82,9 @@ class ExpBound(BoundingFunction):
         self.x0 = x0
 
     def value(self, x):
-        if x <= self.x0:
+        if x < self.x0:
+            return max(self.a, 1)
+        if x == self.x0:
             return self.a
         return self.a * math.exp(-float(x - self.x0) / float(self.b))
 
@@ -185,15 +189,19 @@ def bf_convolve(f: BoundingFunction, g: BoundingFunction) -> BoundingFunction:
 
 
 def bf_invert(f: BoundingFunction, p: float):
-    """Smallest ``x`` with ``f(x) <= p``, in closed form.
+    """Smallest ``x`` from the bound's shift on with ``f(x) <= p``, in
+    closed form.
 
-    Returns 0 when the bound already sits at or below ``p`` at the origin.
+    Returns the shift (0 for a Zero bound) when the bound already sits at or
+    below ``p`` there.
     """
     if p <= 0:
         raise UnreachableProbability(f"probability must be positive, got {p}")
     _closed("invert", f)
-    if f.is_zero or f.a <= p:
+    if f.is_zero:
         return 0.0
+    if f.a <= p:
+        return float(f.x0)
     return float(f.x0) + float(f.b) * math.log(float(f.a) / float(p))
 
 

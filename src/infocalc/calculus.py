@@ -82,7 +82,10 @@ def output_bound(arrival: IsaSpec, service: IssSpec) -> IsaSpec:
 
 
 def backlog_bound(arrival: IsaSpec, service: IssSpec, x) -> GuaranteeReport:
-    """Tail bound on the information backlog: ``(f (x) g)(x - (alpha (/) beta)(0))``."""
+    """Tail bound on the information backlog: ``(f (x) g)(x - (alpha (/) beta)(0))``.
+
+    Below the deterministic backlog ``(alpha (/) beta)(0)`` the bound reads
+    at least 1: it claims nothing there (see ``bounding``)."""
     fg = bf_convolve(arrival.bounding, service.bounding)
     dev = deconvolve(arrival.curve, service.curve).value(0)
     value = fg.value(x - dev)
@@ -116,7 +119,7 @@ def service_deficit(arrival: IsaSpec, service: IssSpec, tau):
 
     Exact over breakpoints of beta, tau-shifted breakpoints of alpha, v=0 and
     v=tau.  Returns ``-inf`` when the service tail is slower than the arrival
-    tail (the resulting bound degenerates to its maximum value).
+    tail (the resulting bound then claims nothing).
     """
     beta, alpha = service.curve, arrival.curve
     if beta.final_slope < alpha.final_slope:
@@ -129,15 +132,15 @@ def service_deficit(arrival: IsaSpec, service: IssSpec, tau):
 
 def backlog_within_delay_bound(arrival: IsaSpec, service: IssSpec, tau, x) -> GuaranteeReport:
     """Tail bound on information not yet delivered ``tau`` after time t:
-    ``(f (x) g)(x + inf_v[beta(v) - alpha(v - tau)])``."""
+    ``(f (x) g)(x + inf_v[beta(v) - alpha(v - tau)])``.
+
+    Below the deterministic shift ``-inf_v[...]`` the bound reads at least 1:
+    it claims nothing there (see ``bounding``), and on a rate-overloaded path,
+    whose shift is +inf, it claims nothing at any ``x``."""
     fg = bf_convolve(arrival.bounding, service.bounding)
     c = service_deficit(arrival, service, tau)
-    if c == -INF:
-        value = fg.value(0)
-    else:
-        value = fg.value(x + c)
-    return GuaranteeReport("backlog_within_delay", float(x), float(value), fg,
-                           float(max(-c, 0 * x)) if c != -INF else INF)
+    return GuaranteeReport("backlog_within_delay", float(x), float(fg.value(x + c)), fg,
+                           float(max(-c, 0 * x)))
 
 
 def impair(service: IssSpec, impairment: IsaSpec) -> IssSpec:

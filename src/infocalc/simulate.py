@@ -38,7 +38,6 @@ operator and stepped down with ``math.nextafter`` until the probe holds.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -47,8 +46,8 @@ import numpy as np
 
 from .bounding import BoundingFunction, bf_convolve, bf_invert
 from .calculus import IsaSpec, IssSpec, service_deficit
-from .curves import INF, Curve, deconvolve, horizontal_deviation
-from .errors import ConfigError, InfiniteDeviation, UnboundedDeconvolution
+from .curves import INF, Curve, horizontal_deviation
+from .errors import ConfigError
 from .scenario import ImpairmentEntry, Node, Scenario, effective_path_service
 from .sources import aggregate_information
 from .algorithms import Schedule
@@ -131,9 +130,6 @@ class TailReport:
                 for t, e, c, b in zip(self.thresholds, self.empirical, self.ci_hi, self.bounds)
             ],
         }
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
 
 def wilson_upper(k: np.ndarray, n: int, z: float = WILSON_Z) -> np.ndarray:
@@ -426,47 +422,36 @@ def simulate(s: Scenario, schedule: Schedule, cfg: TraceConfig,
                 "horizon": cfg.horizon, "eval_time": float(ts[k_eval]), "path": pid}
 
         fg = bf_convolve(arrival.bounding, service.bounding)
-        vacuous = max(1.0, float(fg.value(0.0)))
+        vacuous = float(fg.value(-INF))  # what fg reads where it claims nothing
         # grids top out where the bound drops to the resolution of the run count
         p_floor = max(float(wilson_upper(np.zeros(1), cfg.runs)[0]), 1e-6)
         x_top = bf_invert(fg, p_floor / 2)
 
         # --- delay ---
-        try:
-            q_hint = _quantile(arrival, service, x_top)
-        except InfiniteDeviation:
-            q_hint = cfg.horizon / 4
+        overloaded = arrival.curve.final_slope > service.curve.final_slope
+        q_hint = cfg.horizon / 4 if overloaded else _quantile(arrival, service, x_top)
         thr = _threshold_grid(max(q_hint * 0.1, cfg.time_step), q_hint + 5 * cfg.time_step)
         bounds = _delay_bound_curve(arrival, service, fg, vacuous, thr, 2 * cfg.time_step)
         reports.append(_tail_report("delay", pid, thr, delays, bounds,
                                     meta | {"censored": float(censored.sum()) / cfg.runs}))
 
-        # --- backlog ---
-        try:
-            dev = float(deconvolve(arrival.curve, service.curve).value(0))
-        except UnboundedDeconvolution:
-            dev = INF
+        # --- backlog, and backlog within delay ---
+        # fg(x - shift), the shift the deterministic backlog tau after t,
+        # -inf_v[beta(v) - alpha(v - tau)]: +inf on an overloaded path, where
+        # the bound claims nothing and the grid follows the samples
         step_bits = float(service.curve.final_slope) * cfg.time_step
-        if dev == INF:  # rate-overloaded path: vacuous bounds
-            thr_b = _threshold_grid(step_bits, float(np.max(backlogs)) * 1.5 + 1.0)
-            bounds_b = np.full_like(thr_b, vacuous)
-        else:
-            thr_b = _threshold_grid(max(dev * 0.25, step_bits), dev + x_top + 2 * step_bits)
-            bounds_b = np.array([float(fg.value(x - 2 * step_bits - dev)) if not fg.is_zero
-                                 else (1.0 if x - 2 * step_bits < dev else 0.0) for x in thr_b])
-        reports.append(_tail_report("backlog", pid, thr_b, backlogs, bounds_b, dict(meta)))
-
-        # --- backlog within delay ---
+        tails = [("backlog", 0, backlogs, {})]
         if within_delay is not None:
-            c = service_deficit(arrival, service, within_delay)
-            shift = float(-c) if c != -INF else 0.0
-            thr_w = _threshold_grid(max(shift * 0.25, step_bits), shift + x_top + 2 * step_bits)
-            if c == -INF:
-                bounds_w = np.full_like(thr_w, vacuous)
+            tails.append(("backlog_within_delay", within_delay, bwd,
+                          {"within_delay": within_delay}))
+        for quantity, tau, samples, extra in tails:
+            shift = float(-service_deficit(arrival, service, tau))
+            if overloaded:
+                thr = _threshold_grid(step_bits, float(np.max(samples)) * 1.5 + 1.0)
             else:
-                bounds_w = np.array([float(fg.value(x - 2 * step_bits + float(c))) for x in thr_w])
-            reports.append(_tail_report("backlog_within_delay", pid, thr_w, bwd, bounds_w,
-                                        meta | {"within_delay": within_delay}))
+                thr = _threshold_grid(max(shift * 0.25, step_bits), shift + x_top + 2 * step_bits)
+            bounds = np.array([float(fg.value(x - 2 * step_bits - shift)) for x in thr])
+            reports.append(_tail_report(quantity, pid, thr, samples, bounds, meta | extra))
     return reports
 
 

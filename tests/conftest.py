@@ -8,6 +8,7 @@ oracle grid and dense-grid brute force is exact (not merely approximate).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -63,10 +64,13 @@ def np_eval(curve: Curve, ts: np.ndarray) -> np.ndarray:
 
 
 def np_bound(f, xs: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation of a ``ZeroBound`` or an ``ExpBound``."""
+    """Vectorized evaluation of a ``ZeroBound`` or an ``ExpBound``.  Below its
+    shift (0, or ``x0``) a bound claims nothing and reads ``max(a, 1)``."""
     if f.is_zero:
-        return np.zeros_like(xs)
-    return float(f.a) * np.exp(-np.maximum(xs - float(f.x0), 0.0) / float(f.b))
+        return np.where(xs < 0, 1.0, 0.0)
+    x0 = float(f.x0)
+    tail = float(f.a) * np.exp(-np.maximum(xs - x0, 0.0) / float(f.b))
+    return np.where(xs < x0, max(float(f.a), 1.0), tail)
 
 
 @pytest.fixture(scope="session")
@@ -77,6 +81,15 @@ def case_study():
 @pytest.fixture(scope="session")
 def case_study_exact():
     return case_study_scenario(exact=True)
+
+
+def with_bounding_a(s: Scenario, a: float) -> Scenario:
+    """``s`` with the bounding coefficient ``a`` of every node and impairment
+    entry set to ``a``."""
+    paths = tuple(replace(path, nodes=tuple(replace(n, bounding_a=a) for n in path.nodes))
+                  for path in s.paths)
+    return replace(s, paths=paths,
+                   impairments=tuple(replace(e, bounding_a=a) for e in s.impairments))
 
 
 def near_linear_source() -> SourceModel:

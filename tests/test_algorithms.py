@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import near_linear_source, np_bound, random_scenario
+from conftest import near_linear_source, np_bound, random_scenario, with_bounding_a
 from infocalc import algorithms, sources
 from infocalc.algorithms import (
     AchievableRate,
@@ -32,7 +32,7 @@ from infocalc.algorithms import (
     subset_service,
 )
 from infocalc.bounding import ExpBound, ZeroBound
-from infocalc.calculus import IssSpec, delay_bound
+from infocalc.calculus import IssSpec, delay_bound, service_deficit
 from infocalc.curves import Curve
 from infocalc.errors import SubsetLimitExceeded, UnreachableRatio, ValidationError
 from infocalc.scenario import (
@@ -302,6 +302,24 @@ class TestDeliveryRatio:
                    "+".join(rr.fully_delivered_paths), " ".join(rr.unassigned_sources))
             assert got == (r["ratio_lower_bound"], r["undelivered_quantile"],
                            r["fully_delivered_paths"], r["unassigned_sources"]), r["subset"]
+
+    @pytest.mark.parametrize("subset,delay,quantile,ratio", [
+        (("L4",), 0.005, 240.0, 0.4024),
+        (("L1", "L2", "L3", "L4"), 0.020, 380.0, 0.9774),
+    ])
+    def test_no_claim_below_the_shift(self, case_study, subset, delay, quantile, ratio):
+        # every bounding a of the case study at 0.001: a path's undelivered
+        # information is at least its deterministic backlog after the delay,
+        # although the composed bound reads below p from 0 on
+        s = with_bounding_a(case_study, 0.001)
+        rr = delivery_ratio(s, subset, delay, 0.01, 1.0)
+        assert (rr.undelivered_quantile, rr.ratio_lower_bound) == pytest.approx((quantile, ratio),
+                                                                               abs=1e-4)
+        if subset == ("L4",):
+            sent = [src for src in s.sources if src.id not in rr.unassigned_sources]
+            arrival = aggregate_information(sent, s.spatial)
+            service = effective_path_service(s, {"L4"}, "L4")
+            assert rr.undelivered_quantile >= -service_deficit(arrival, service, delay)
 
     @pytest.mark.parametrize("subset", [("L1", "L1"), ("L1", "L2", "L1")])
     def test_repeated_path_rejected(self, case_study, subset):

@@ -25,8 +25,11 @@ from infocalc.errors import UnreachableProbability
 
 
 def exact_exp_convolution_value(f: ExpBound, g: ExpBound, x: float) -> float:
-    """True infimum of ``f(s) + g(x-s)`` over ``0 <= s <= x``: the ends, the
-    offsets and the stationary point of the two exponentials."""
+    """True infimum of ``f(s) + g(x-s)`` over ``0 <= s <= x``, each bound read
+    by ``np_bound``: at least 1 below its offset, ``a`` at it.  Below f's
+    offset the sum does not fall as s grows, beyond ``x`` minus g's it does
+    not rise, and between them it is convex, so the infimum is at the ends,
+    the offsets or the stationary point of the two exponentials."""
     a1, b1, x01 = float(f.a), float(f.b), float(f.x0)
     a2, b2, x02 = float(g.a), float(g.b), float(g.x0)
     cands = [0.0, x]
@@ -36,7 +39,8 @@ def exact_exp_convolution_value(f: ExpBound, g: ExpBound, x: float) -> float:
         if 0 < s < x:
             cands.append(s)
     cands.extend(v for v in (x01, x - x02) if 0 < v < x)
-    return min(f.value(s) + g.value(x - s) for s in cands)
+    cands = np.array(cands)
+    return float(np.min(np_bound(f, cands) + np_bound(g, x - cands)))
 
 
 class TestConvolve:
@@ -73,14 +77,16 @@ class TestConvolve:
             assert closed >= exact_exp_convolution_value(f, g, x) - 1e-12
 
     def test_oracle_matches_a_dense_scan(self):
-        # the infimum oracle against f(s) + g(x - s) on 20,001 splits
+        # the infimum oracle against f(s) + g(x - s) on 20,001 splits and the
+        # two offsets, where a bound drops from max(a, 1) to a
         rng = np.random.default_rng(11)
         for _ in range(200):
             a1, a2, b1, b2 = rng.uniform(0.5, 6, size=4)
             x01, x02 = rng.choice([0.0, 0.0, 1.5, 4.0], size=2)
             x = rng.uniform(0, 30)
             f, g = ExpBound(a1, b1, x01), ExpBound(a2, b2, x02)
-            split = np.linspace(0.0, x, 20_001)
+            offsets = [v for v in (x01, x - x02) if 0 <= v <= x]
+            split = np.union1d(np.linspace(0.0, x, 20_001), offsets)
             scan = np.min(np_bound(f, split) + np_bound(g, x - split))
             exact = exact_exp_convolution_value(f, g, x)
             assert exact <= scan + 1e-12
@@ -130,6 +136,24 @@ class TestInvert:
         if p >= a:
             return
         assert bf_invert(f, p) == pytest.approx(x, rel=1e-9, abs=1e-9)
+
+
+BOUNDS = st.one_of(
+    st.just(ZeroBound()),
+    st.builds(ExpBound, st.floats(0.0, 8.0), st.floats(0.01, 20.0), st.floats(0.0, 50.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=BOUNDS, p=st.floats(1e-12, 1.0), below=st.floats(1e-9, 1e9))
+def test_no_claim_below_the_shift(f, p, below):
+    # a bound reads at least 1 below its shift, at -inf too, and inverts at
+    # or above the shift to a level where it holds (up to rounding)
+    shift = 0.0 if f.is_zero else float(f.x0)
+    for x in (-math.inf, shift - below, math.nextafter(shift, -math.inf)):
+        assert f(x) >= 1.0
+    x = bf_invert(f, p)
+    assert x >= shift
+    assert f(x) <= p * (1 + 1e-9)
 
 
 class TestShift:

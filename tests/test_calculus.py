@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from conftest import np_eval
+from conftest import np_eval, with_bounding_a
 from infocalc.bounding import ExpBound, ZeroBound
 from infocalc.calculus import (
     IsaSpec,
@@ -25,6 +25,8 @@ from infocalc.calculus import (
 )
 from infocalc.curves import Curve, Segment
 from infocalc.errors import UnboundedDeconvolution
+from infocalc.scenario import effective_path_service
+from infocalc.sources import aggregate_information
 
 R = F(8000)
 D = F(3, 400)
@@ -184,6 +186,24 @@ class TestBacklogWithinDelay:
         arr = IsaSpec(ZeroBound(), Curve.affine(5592.0, 6.8))
         srv = IssSpec(ExpBound(1, 1), Curve.rate_latency(8000.0, 0.0075))
         assert backlog_within_delay_bound(arr, srv, 0.015, 1e7).bound_value == pytest.approx(0.0, abs=1e-300)
+
+
+@pytest.mark.parametrize("a", [0.001, 0.0])
+@pytest.mark.parametrize("sources,report", [
+    ("group 1", lambda arr, srv: backlog_bound(arr, srv, 1.0)),
+    ("group 1", lambda arr, srv: backlog_within_delay_bound(arr, srv, 0.005, 1.0)),
+    ("all", lambda arr, srv: backlog_within_delay_bound(arr, srv, 0.005, 1.0)),
+], ids=["backlog", "within-delay", "within-delay-overloaded"])
+def test_no_claim_below_the_shift(case_study, a, sources, report):
+    # group 1 (or all nine sources, more than L4 serves) alone on L4 of the
+    # case study with every bounding a below 1: the deterministic backlog is
+    # 240 bits (infinite when overloaded), so at 1 bit the bound claims nothing
+    s = with_bounding_a(case_study, a)
+    arr = aggregate_information([src for src in s.sources
+                                 if sources == "all" or src.group_id == "1"], s.spatial)
+    srv = effective_path_service(s, {"L4"}, "L4")
+    assert service_deficit(arr, srv, 0) <= -240.0
+    assert report(arr, srv).bound_value >= 1.0
 
 
 class TestImpair:

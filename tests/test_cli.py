@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import with_bounding_a
 import infocalc
 from infocalc.cli import main
-from infocalc.scenario import case_study_path
+from infocalc.scenario import case_study_path, serialize_scenario
 
 
 @pytest.fixture()
@@ -210,6 +211,16 @@ class TestSimulate:
                            "--horizon-ms", "300")
         assert code == 0
         assert "PASS" in out
+
+    def test_bounding_a_below_one_passes(self, capsys, case_study, tmp_path):
+        # with every bounding a at 0.01 the backlog bounds read 0.02 below the
+        # deterministic backlog unless they claim nothing there
+        scenario_file = tmp_path / "low_a.json"
+        scenario_file.write_text(serialize_scenario(with_bounding_a(case_study, 0.01)))
+        code, out, _ = run(capsys, "simulate", str(scenario_file), "--delay-ms", "45",
+                           "--violation", "0.001", "--runs", "2000", "--seed", "3")
+        assert code == 0
+        assert "FAIL" not in out
 
     def test_csv_output(self, capsys, scenario_file):
         code, out, _ = run(capsys, "simulate", scenario_file, "--delay-ms", "45",

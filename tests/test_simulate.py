@@ -592,11 +592,9 @@ class TestSerialization:
         assert len(lines) == 1 + len(rep.thresholds)
 
     def test_json_roundtrip(self, case_study, two_path_schedule):
-        import json
-
         cfg = TraceConfig(runs=50, seed=2, time_step=1e-3, horizon=0.2)
         rep = simulate(case_study, two_path_schedule, cfg)[0]
-        doc = json.loads(rep.to_json_str())
+        doc = json.loads(json.dumps(rep.to_json()))
         assert doc["quantity"] == rep.quantity
         assert len(doc["points"]) == len(rep.thresholds)
 
