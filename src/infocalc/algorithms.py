@@ -32,11 +32,14 @@ impairment only subtracts; so the order is that of building and sorting
 them all.  Equal rates go with each subset after every subset that
 dominates it, and otherwise by subset id (``_dominators_first``), so that
 ``bflr`` never chooses a dominated subset over a feasible equal-rate subset
-that dominates it.  An infeasible answer still tries every subset whose
-bound reaches the total rate, because the greedy packing is not monotone in
-the subset.  ``SUBSET_LIMIT`` refuses the full listings (``ratecal``,
-``feasible_rates``, ``bflr_table``) above 24 paths, and ``bflr`` only after
-it has built 2^24 - 1 subsets.
+that dominates it.  The greedy packing is not monotone in the subset, so a
+search that ends infeasible tries every subset whose bound reaches the
+total rate.  Before it searches, ``bflr`` asks whether some source fails
+the delay gate alone on every service that any subset gives any path
+(``_hopeless``); if one does, no subset packs it and the answer is
+``Infeasible`` without a subset built.  ``SUBSET_LIMIT`` refuses the full
+listings (``ratecal``, ``feasible_rates``, ``bflr_table``) above 24 paths,
+and the search of ``bflr`` only after it has built 2^24 - 1 subsets.
 
 ``delivery_ratio`` is the relaxation used when no schedule meets the delay
 bound: it lower-bounds the fraction of source information delivered within
@@ -87,8 +90,11 @@ only between equal keys.  It memoizes, in plain dicts:
 * packing steps (``_Context.step``), keyed by the gate (``("delay", p,
   delay)`` or ``("rate",)``), the bitmask of the sources still left over
   the source order, and the service id: one path's greedy step reads
-  nothing else.  Path checks (``_Context.check``) are not memoized: the
-  benchmark workloads repeat none outside a repeated step.
+  nothing else;
+* single-source path checks (``_Context.check``), keyed by the source, the
+  service id and the cell: ``bflr``'s certificate asks them first and the
+  packing steps ask them again.  A fused set's check repeats only inside a
+  repeated step, so it is not memoized.
 
 Each memo key holds everything its value depends on besides the scenario
 and overrides, so sharing a context between queries changes no answer:
@@ -197,6 +203,7 @@ class _Context:
         self._interned: dict[IssSpec, int] = {}  # first id of each value
         self._parallels: dict[tuple[int, ...], IssSpec] = {}
         self._steps: dict[tuple, tuple[int, tuple[str, ...], object]] = {}
+        self._checks: dict[tuple, GuaranteeReport | None] = {}
         self._rates: dict[str, float] = {}
         self._order: tuple[SourceModel, ...] | None = None
         self._bits: dict[str, int] = {}
@@ -289,7 +296,18 @@ class _Context:
               p: float, delay: float) -> GuaranteeReport | None:
         """Stochastic delay-bound certificate of service ``sid`` for one fused
         set, or None; a fused rate not below the service rate fails before
-        any curve is built."""
+        any curve is built.  A single source's result is memoized, keyed by
+        the source, the service id and the cell: ``bflr``'s certificate
+        (``_hopeless``) asks what a packing step's first check asks."""
+        if len(fused) != 1:
+            return self._check(fused, sid, p, delay)
+        key = (fused[0].id, sid, p, delay)
+        if key not in self._checks:
+            self._checks[key] = self._check(fused, sid, p, delay)
+        return self._checks[key]
+
+    def _check(self, fused: list[SourceModel], sid: int,
+               p: float, delay: float) -> GuaranteeReport | None:
         service = self.specs[sid]
         if self.fused_rate(fused) < service.asymptotic_rate:
             return _path_check(self.arrival(fused), service, p, delay)
@@ -702,6 +720,57 @@ def _dominators_first(group: list[AchievableRate]) -> list[AchievableRate]:
     return order
 
 
+def _hopeless(ctx: _Context, p: float, delay: float) -> bool:
+    """Whether some source fails the delay gate alone on every service that
+    any subset gives any path, so that no subset packs it: a certificate
+    that ``bflr`` is infeasible, taken before any subset is built.
+
+    A source joins a path only in a fused set that passes the gate there
+    (``_Context.step``).  Source bounds are ``ZeroBound``, group
+    coefficients are at least 1 and groups add, so a fused set's arrival
+    curve and rate are at least each member's: a source that fails alone on
+    a service fails in every fused set there.  Within one (eta, delta) class
+    the arrival curve grows with the variance, so only the class's first
+    source in ``order()`` is tested.  A path's service depends only on which
+    of its partners are active, so the keys (path, A) for every set A of its
+    partners cover every subset.  The services tested are the exact ones: an
+    impaired service can admit a source that the standalone one refuses,
+    because ``impair`` does not clip the impairment's curve at zero.
+
+    The services come lazily (``_path_services``), and the answer is known
+    once each class's head has passed one; the checks are memoized, so the
+    packing steps reuse them.  The worst case, a certificate that fires,
+    builds the services of all sum over paths P of 2^|partners(P)| keys: 2
+    per path on the case study and the ten-path benchmark scenario, at most
+    4 on the benchmark's random scenarios, whose paths have at most two
+    partners."""
+    heads: dict[tuple[float, float], SourceModel] = {}
+    for src in ctx.order():
+        heads.setdefault((src.eta, src.delta), src)
+    unplaced = list(heads.values())
+    for sid in _path_services(ctx):
+        unplaced = [src for src in unplaced if ctx.check([src], sid, p, delay) is None]
+        if not unplaced:
+            return False
+    return True
+
+
+def _path_services(ctx: _Context) -> Iterator[int]:
+    """The ids of the services that the subsets give their paths: first
+    those of the full set in ``_path_order``, which the search builds
+    first, then each path with every other set of its partners."""
+    ids = ctx.s.path_ids()
+    paths = _path_order(ctx, ids)
+    full = set(ids)
+    for pid in paths:
+        yield ctx.service(full, pid)[0]
+    for pid in paths:
+        mates = sorted(ctx.partners[pid])
+        for k in range(len(mates)):
+            for some in itertools.combinations(mates, k):
+                yield ctx.service({pid, *some}, pid)[0]
+
+
 def bflr(s: Scenario, delay: float, p: float, prune: bool = False,
          bounding_overrides: Mapping[str, tuple[float, float]] | None = None,
          ) -> Schedule | Infeasible:
@@ -714,13 +783,20 @@ def bflr(s: Scenario, delay: float, p: float, prune: bool = False,
     still reaches the rate of the next subset to try: a feasible answer
     usually stops after a few subsets.  An equal-rate group is packed whole
     and put in order only when two of its members are feasible, so an
-    infeasible answer never orders ties.  It still tries every subset whose
-    rate reaches the sources' total rate, because the greedy packing is not
-    monotone in the subset.  ``SubsetLimitExceeded`` is raised only after
-    2^``SUBSET_LIMIT`` - 1 subsets were built, so a scenario of more paths
-    gets an early answer.
+    infeasible answer never orders ties.
+
+    The greedy packing is not monotone in the subset, so a search that ends
+    infeasible tries every subset whose rate reaches the sources' total
+    rate.  But when some source fails the delay gate alone on every path
+    service (``_hopeless``), the answer is ``Infeasible`` before any subset
+    is built, whatever the number of paths.  Otherwise
+    ``SubsetLimitExceeded`` is raised only after 2^``SUBSET_LIMIT`` - 1
+    subsets were built, so a scenario of more paths gets an early answer.
     """
     ctx = _Context(s, bounding_overrides)
+    ctx.arrival(s.sources)  # raises where the search would, before any answer
+    if _hopeless(ctx, p, delay):
+        return Infeasible()
     for group in _best_first(ctx, prune):
         found = {}
         for rate in group:

@@ -85,8 +85,12 @@ def backlog_bound(arrival: IsaSpec, service: IssSpec, x) -> GuaranteeReport:
     """Tail bound on the information backlog: ``(f (x) g)(x - (alpha (/) beta)(0))``.
 
     Below the deterministic backlog ``(alpha (/) beta)(0)`` the bound reads
-    at least 1: it claims nothing there (see ``bounding``)."""
+    at least 1: it claims nothing there (see ``bounding``), and on a
+    rate-overloaded path, whose backlog is +inf, it claims nothing at any
+    ``x``."""
     fg = bf_convolve(arrival.bounding, service.bounding)
+    if arrival.curve.final_slope > service.curve.final_slope:
+        return GuaranteeReport("backlog", float(x), float(fg.value(-INF)), fg, INF)
     dev = deconvolve(arrival.curve, service.curve).value(0)
     value = fg.value(x - dev)
     return GuaranteeReport("backlog", float(x), float(value), fg,

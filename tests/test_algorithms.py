@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -31,10 +32,15 @@ from infocalc.algorithms import (
     schedule_subset,
     subset_service,
 )
-from infocalc.bounding import ExpBound, ZeroBound
+from infocalc.bounding import ExpBound, ZeroBound, bf_invert
 from infocalc.calculus import IssSpec, delay_bound, service_deficit
 from infocalc.curves import Curve
-from infocalc.errors import SubsetLimitExceeded, UnreachableRatio, ValidationError
+from infocalc.errors import (
+    InconsistentGroup,
+    SubsetLimitExceeded,
+    UnreachableRatio,
+    ValidationError,
+)
 from infocalc.scenario import (
     PAPER_TABLE1_BOUNDINGS,
     ImpairmentEntry,
@@ -744,6 +750,158 @@ class TestBestFirst:
                         lambda: bflr_table(s, 0.05, 1e-3)):
             with pytest.raises(SubsetLimitExceeded):
                 listing()
+
+
+# ---------------------------------------------------------------------------
+# A hopeless bflr is answered before the subset search
+# ---------------------------------------------------------------------------
+
+PERFBENCH = FsPath(__file__).resolve().parents[1] / "perfbench"
+
+
+def perfbench_workloads():
+    """``perfbench/workloads.py``, imported for its scenario makers."""
+    if str(PERFBENCH) not in sys.path:
+        sys.path.append(str(PERFBENCH))
+    import workloads
+
+    return workloads
+
+
+def delay_floor(s: Scenario, p: float) -> float:
+    """The smallest delay quantile at violation ``p`` that any path in any
+    subset gives any source set: ``(x - offset) / rate`` of the path's
+    affine service at the tail level x, the quantile of a vanishing burst."""
+    floor = float("inf")
+    for pid in s.path_ids():
+        mates = sorted(s.partners(pid))
+        for k in range(len(mates) + 1):
+            for some in itertools.combinations(mates, k):
+                spec = effective_path_service(s, {pid, *some}, pid)
+                (segment,) = spec.curve.segments
+                x = bf_invert(spec.bounding, p)
+                floor = min(floor, float((x - segment.value) / segment.slope))
+    return floor
+
+
+def hopeless(s: Scenario, delay: float, p: float) -> bool:
+    return algorithms._hopeless(algorithms._Context(s, None), p, delay)
+
+
+def impaired_only_scenario() -> Scenario:
+    """P0 is one 8 kbit/s, 2 ms node; its entry with P1 starts at 7.5 ms, so
+    inside P0+P1 the unclipped impairment leaves 6,000 t - 1 bits, a latency
+    of 1/6 ms.  Node and entry bounds are small, so at p = 0.01 the source
+    meets a 1 ms delay on impaired P0 and on no standalone path."""
+    paths = (Path("P0", (Node("P0.n0", 0.001, 1.0, R, 0.002),)),
+             Path("P1", (Node("P1.n0", 0.001, 1.0, R, 0.02),)))
+    impairments = (ImpairmentEntry(("P0", 0), ("P1", 0), 0.001, 1.0, 0.25, None, 0.0075),)
+    source = SourceModel("S0.0", calibrate_sigma2(1000.0, 0.1, 100.0), 100.0, 0.1, "g0")
+    return Scenario((source,), SpatialModel({}), paths, impairments)
+
+
+class TestHopeless:
+    @staticmethod
+    def random_family():
+        """(scenario, p) of 30 ``random_scenario`` draws at p = 0.01 and 0.001,
+        and of three ``random_doc`` batches, seed 903 round 4 among them, at
+        the benchmark's p = 0.01."""
+        wl = perfbench_workloads()
+        rng = np.random.default_rng(2027)
+        for i in range(30):
+            yield random_scenario(rng), (0.01, 0.001)[i % 2]
+        for seed, rnd in ((1, 0), (903, 4), (7006, 29)):
+            rng = np.random.default_rng([seed, 2, rnd])
+            for k in range(wl.RandomFamily.batch):
+                doc = wl.random_doc(rng, *wl.RandomFamily.shape(k))
+                s = parse_scenario(json.dumps(doc))
+                assert delay_floor(s, 0.01) == pytest.approx(
+                    wl.checks.Model(doc).delay_floor(0.01), rel=1e-9)
+                yield s, 0.01
+
+    def test_certificate_is_sound(self):
+        fired = feasible = 0
+        for s, p in self.random_family():
+            floor = delay_floor(s, p)
+            for scale in (0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 3.0):
+                delay = scale * floor
+                table = [result for _, result in bflr_table(s, delay, p)]
+                any_schedule = any(isinstance(result, Schedule) for result in table)
+                if hopeless(s, delay, p):
+                    fired += 1
+                    # every subset's packing fails, so no row is a schedule
+                    assert not any_schedule, (serialize_scenario(s), delay, p)
+                feasible += any_schedule
+                first = next((result for result in table if isinstance(result, Schedule)),
+                             Infeasible())
+                assert repr(bflr(s, delay, p)) == repr(first)
+        assert fired and feasible
+
+    def test_impaired_service_admits_the_head(self):
+        # a certificate that tried the standalone services only would fire
+        s = impaired_only_scenario()
+        standalone = [effective_path_service(s, {pid}, pid) for pid in s.path_ids()]
+        arrival = aggregate_information(list(s.sources), s.spatial)
+        assert all(delay_bound(arrival, spec, 0.01).derived_quantile > 0.001
+                   for spec in standalone)
+        assert not hopeless(s, 0.001, 0.01)
+        result = bflr(s, 0.001, 0.01)
+        assert isinstance(result, Schedule)
+        assert result.subset == ("P0", "P1") and result.assignment == {"S0.0": "P0"}
+
+    def test_sixteen_paths_answered_before_any_subset(self, monkeypatch):
+        wl = perfbench_workloads()
+        s = parse_scenario(json.dumps(wl.kpath_doc(16)))
+        calls = 0
+        original = algorithms.subset_service
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(algorithms, "subset_service", counted)
+        assert bflr(s, 0.5 * delay_floor(s, 1e-3), 1e-3) == Infeasible()
+        assert calls == 0
+
+    def test_subset_guard_spares_a_hopeless_answer(self, case_study, monkeypatch):
+        s = paired_six_paths(case_study)
+        monkeypatch.setattr(algorithms, "SUBSET_LIMIT", 4)
+        assert bflr(s, 0.001, 1e-3) == Infeasible()
+        # without the certificate the search gives up before it is done
+        monkeypatch.setattr(algorithms, "_hopeless", lambda ctx, p, delay: False)
+        with pytest.raises(SubsetLimitExceeded):
+            bflr(s, 0.001, 1e-3)
+
+    def test_refused_sources_raise_before_the_certificate(self, case_study):
+        # a group that mixes parameters has no fused model, at any delay
+        first = replace(case_study.sources[0], sigma2=2 * case_study.sources[0].sigma2)
+        s = replace(case_study, sources=(first,) + case_study.sources[1:])
+        with pytest.raises(InconsistentGroup):
+            bflr(s, 0.001, 1e-3)
+
+    @pytest.mark.parametrize("delay,p", [(0.035, 1e-3), (0.045, 1e-4)])
+    def test_feasible_answer_checks_no_more(self, case_study, monkeypatch, delay, p):
+        # the certificate's single-source checks are the packing's first ones
+        calls = 0
+        original = algorithms._path_check
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return original(*args)
+
+        monkeypatch.setattr(algorithms, "_path_check", counted)
+        for s in (case_study, kpath(case_study, 10)):
+            calls = 0
+            result = bflr(s, delay, p)
+            assert isinstance(result, Schedule)
+            with_certificate = calls
+            with monkeypatch.context() as off:
+                off.setattr(algorithms, "_hopeless", lambda ctx, p, delay: False)
+                calls = 0
+                assert bflr(s, delay, p) == result
+            assert with_certificate == calls
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,16 @@ class TestBacklog:
         srv = IssSpec(ZeroBound(), Curve.rate_latency(5.0, 1.5))
         assert backlog_bound(arr, srv, 11.0).bound_value == 0.0
 
+    @pytest.mark.parametrize("x", [0.0, 1.0, 1e6])
+    def test_overloaded_claims_nothing(self, case_study, x):
+        # all nine sources outrun L4 alone: the backlog is unbounded, and the
+        # bound claims nothing at any threshold, as the within-delay bound
+        arr = aggregate_information(list(case_study.sources), case_study.spatial)
+        srv = effective_path_service(case_study, {"L4"}, "L4")
+        rep = backlog_bound(arr, srv, x)
+        assert rep.derived_quantile == math.inf
+        assert rep.bound_value == backlog_within_delay_bound(arr, srv, 0.0, x).bound_value >= 1.0
+
 
 class TestDelay:
     def test_case_study_infeasible_cell(self):
@@ -193,7 +203,8 @@ class TestBacklogWithinDelay:
     ("group 1", lambda arr, srv: backlog_bound(arr, srv, 1.0)),
     ("group 1", lambda arr, srv: backlog_within_delay_bound(arr, srv, 0.005, 1.0)),
     ("all", lambda arr, srv: backlog_within_delay_bound(arr, srv, 0.005, 1.0)),
-], ids=["backlog", "within-delay", "within-delay-overloaded"])
+    ("all", lambda arr, srv: backlog_bound(arr, srv, 1.0)),
+], ids=["backlog", "within-delay", "within-delay-overloaded", "backlog-overloaded"])
 def test_no_claim_below_the_shift(case_study, a, sources, report):
     # group 1 (or all nine sources, more than L4 serves) alone on L4 of the
     # case study with every bounding a below 1: the deterministic backlog is
