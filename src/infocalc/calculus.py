@@ -8,6 +8,12 @@ parallel aggregation, and the three service-guarantee bounds (backlog,
 delay, backlog-within-delay).  Tail bounds are ``ExpBound`` or
 ``ZeroBound`` (see ``bounding``); sources fuse, with their redundancy
 removed, in ``sources.aggregate_information``.
+
+Every service a scenario builds is affine, ``R*t + c``, and composes in
+closed form on ``(R, c)`` pairs (Le Boudec & Thiran, *Network Calculus*,
+2001, Thm 6.2.1): ``affine_impair`` and ``affine_concatenate`` do the float
+operations of ``Curve.subtract`` and ``curves.convolve`` on one-segment
+curves, so the results print the same.
 """
 
 from __future__ import annotations
@@ -15,9 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .bounding import BoundingFunction, ExpBound, ZeroBound, _closed, bf_convolve, bf_invert
-from .curves import INF, Curve, Segment, convolve, deconvolve, horizontal_deviation
+from .curves import INF, Curve, Segment, deconvolve, horizontal_deviation
+from .errors import NonMonotoneResult
 
 
 @dataclass(frozen=True)
@@ -63,16 +71,39 @@ class GuaranteeReport:
     derived_quantile: float
 
 
+def affine_impair(service, process):
+    """``(R - r, c - c_e)``: the affine service ``(R, c)`` less the process
+    ``(r, c_e)``, as ``Curve.subtract`` takes it at t = 0 (``R * 0`` turns
+    -0.0 into 0.0); :class:`NonMonotoneResult` if ``r`` exceeds ``R``."""
+    (rate, offset), (taken, burst) = service, process
+    if rate - taken < 0:
+        raise NonMonotoneResult(f"subtraction yields slope {rate - taken} at t=0")
+    return rate - taken, (offset + rate * 0) - (burst + taken * 0)
+
+
+def affine_concatenate(first, second):
+    """``(min(R1, R2), c1 + c2)``: ``(R1, c1)`` then ``(R2, c2)`` in tandem,
+    as ``curves.convolve`` takes it: the line of the smaller rate, on equal
+    rates of the smaller offset, on a tie ``second``'s (a Fraction and a
+    float may tie)."""
+    (r1, c1), (r2, c2) = first, second
+    return min((r2, c2 + (c1 + r1 * 0) + r2 * 0), (r1, c1 + (c2 + r2 * 0) + r1 * 0))
+
+
+def _affine(curve: Curve, op: str):
+    if len(curve.segments) != 1:
+        raise TypeError(f"cannot {op} {curve!r}: only affine curves compose in closed form")
+    return curve.segments[0][1:]
+
+
 def concatenate(servers: list[IssSpec]) -> IssSpec:
-    """Tandem of nodes: envelopes and bounds both compose by convolution."""
+    """Tandem of affine servers: ``affine_concatenate`` of the curves,
+    ``bf_convolve`` of the bounds; ``TypeError`` on a curve of more than
+    one segment."""
     if not servers:
         raise ValueError("concatenate needs at least one server")
-    curve = servers[0].curve
-    bounding = servers[0].bounding
-    for srv in servers[1:]:
-        curve = convolve(curve, srv.curve)
-        bounding = bf_convolve(bounding, srv.bounding)
-    return IssSpec(bounding, curve)
+    line = reduce(affine_concatenate, [_affine(srv.curve, "concatenate") for srv in servers])
+    return IssSpec(reduce(bf_convolve, [srv.bounding for srv in servers]), Curve.affine(*line))
 
 
 def output_bound(arrival: IsaSpec, service: IssSpec) -> IsaSpec:
@@ -143,15 +174,18 @@ def backlog_within_delay_bound(arrival: IsaSpec, service: IssSpec, tau, x) -> Gu
     whose shift is +inf, it claims nothing at any ``x``."""
     fg = bf_convolve(arrival.bounding, service.bounding)
     c = service_deficit(arrival, service, tau)
-    return GuaranteeReport("backlog_within_delay", float(x), float(fg.value(x + c)), fg,
+    value = fg.value(-INF if c == -INF else x + c)  # x = +inf would read inf - inf
+    return GuaranteeReport("backlog_within_delay", float(x), float(value), fg,
                            float(max(-c, 0 * x)))
 
 
 def impair(service: IssSpec, impairment: IsaSpec) -> IssSpec:
     """Service left after an interfering impairment process:
-    ``<g (x) f, beta - alpha>``, the difference not clipped at zero."""
-    return IssSpec(bf_convolve(service.bounding, impairment.bounding),
-                   service.curve.subtract(impairment.curve))
+    ``<g (x) f, beta - alpha>``, the difference not clipped at zero, in
+    closed form (``affine_impair``); ``TypeError`` on a curve of more than
+    one segment."""
+    line = affine_impair(_affine(service.curve, "impair"), _affine(impairment.curve, "impair"))
+    return IssSpec(bf_convolve(service.bounding, impairment.bounding), Curve.affine(*line))
 
 
 def parallel(servers: list[IssSpec]) -> IssSpec:
@@ -192,6 +226,8 @@ __all__ = [
     "IsaSpec",
     "IssSpec",
     "GuaranteeReport",
+    "affine_concatenate",
+    "affine_impair",
     "concatenate",
     "output_bound",
     "backlog_bound",

@@ -16,11 +16,12 @@ import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from importlib import resources
 from typing import Mapping
 
-from .bounding import ExpBound
-from .calculus import IsaSpec, IssSpec, concatenate, impair
+from .bounding import ExpBound, bf_convolve
+from .calculus import IsaSpec, IssSpec, affine_concatenate, affine_impair
 from .curves import Curve
 from .errors import SchemaError, ValidationError
 from .sources import SourceModel, SpatialModel, calibrate_sigma2
@@ -36,11 +37,6 @@ class Node:
     bounding_b: float
     rate: float
     latency: float
-
-    @property
-    def service(self) -> IssSpec:
-        return IssSpec(ExpBound(self.bounding_a, self.bounding_b),
-                       Curve.rate_latency(self.rate, self.latency))
 
 
 @dataclass(frozen=True)
@@ -356,28 +352,34 @@ def effective_path_service(s: Scenario, active: set[str], path_id: str,
 
     Every node is impaired once per impairment entry whose partner path is
     also active (interference needs both parties transmitting), then the
-    nodes are concatenated.  ``bounding_overrides`` replaces the bounding of
-    an impaired path by explicit ``(a, b)`` coefficients (used to inject the
-    published per-path table values for comparison).
+    nodes are concatenated: the affine ``(rate, offset)`` pairs fold through
+    ``affine_impair`` and ``affine_concatenate``, the bounds through
+    ``bf_convolve``, as ``impair`` and ``concatenate`` would fold them.
+    ``bounding_overrides`` replaces the bounding of an impaired path by
+    explicit ``(a, b)`` coefficients (used to inject the published per-path
+    table values for comparison).
     """
     if path_id not in active:
         raise ValueError(f"path {path_id} is not in the active subset")
     path = s.path(path_id)
     impaired = False
-    servers = []
+    lines, bounds = [], []
     for idx, node in enumerate(path.nodes):
-        srv = node.service
+        line = (node.rate, -node.rate * node.latency)
+        bounding = ExpBound(node.bounding_a, node.bounding_b)
         for entry in s.impairments:
             for mine, partner in ((entry.a, entry.b), (entry.b, entry.a)):
                 if mine == (path_id, idx) and partner[0] in active:
-                    srv = impair(srv, entry.process_for(node))
+                    rate = entry.rate_for(node)
+                    line = affine_impair(line, (rate, -rate * entry.latency))
+                    bounding = bf_convolve(bounding, ExpBound(entry.bounding_a, entry.bounding_b))
                     impaired = True
-        servers.append(srv)
-    spec = concatenate(servers)
+        lines.append(line)
+        bounds.append(bounding)
+    bounding = reduce(bf_convolve, bounds)
     if impaired and bounding_overrides and path_id in bounding_overrides:
-        a, b = bounding_overrides[path_id]
-        spec = IssSpec(ExpBound(a, b), spec.curve)
-    return spec
+        bounding = ExpBound(*bounding_overrides[path_id])
+    return IssSpec(bounding, Curve.affine(*reduce(affine_concatenate, lines)))
 
 
 # ---------------------------------------------------------------------------

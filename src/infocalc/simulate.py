@@ -45,7 +45,7 @@ from itertools import repeat
 import numpy as np
 
 from .bounding import BoundingFunction, bf_convolve, bf_invert
-from .calculus import IsaSpec, IssSpec, service_deficit
+from .calculus import IsaSpec, IssSpec, _affine, service_deficit
 from .curves import INF, Curve, horizontal_deviation
 from .errors import ConfigError
 from .scenario import ImpairmentEntry, Node, Scenario, effective_path_service
@@ -332,12 +332,10 @@ def _delay_bound_curve(arrival: IsaSpec, service: IssSpec, fg: BoundingFunction,
     """Analytic Prob{D > y} bound ``fg(x)`` per threshold y, at the closed-form
     level x (module docstring) whose delay quantile is at most y - ``slack``;
     ``vacuous`` below the zero-level quantile, where the bound makes no claim."""
-    if len(service.curve.segments) != 1:
-        raise TypeError(f"delay bound curve needs an affine service, got {service.curve!r}")
+    rate, offset = (float(v) for v in _affine(service.curve, "bound the delay of"))
     if arrival.curve.final_slope > service.curve.final_slope:
         # rate-overloaded path: no finite claim at any threshold
         return np.full_like(thresholds, vacuous)
-    _, rate, offset = (float(v) for v in service.curve.segments[0])
     k = max(((float(seg.value) - offset) / rate - float(seg.start)
              for seg in arrival.curve.segments if seg.value > 0 or seg.slope > 0), default=None)
     q0 = _quantile(arrival, service, 0.0)

@@ -8,8 +8,10 @@ oracle grid and dense-grid brute force is exact (not merely approximate).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path as FsPath
 
 import numpy as np
 import pytest
@@ -100,6 +102,18 @@ def near_linear_source() -> SourceModel:
     from infocalc.sources import calibrate_sigma2
 
     return SourceModel("near", calibrate_sigma2(2.0, 0.2, 0.08), 0.08, 0.2, "near")
+
+
+PERFBENCH = FsPath(__file__).resolve().parents[1] / "perfbench"
+
+
+def perfbench_workloads():
+    """``perfbench/workloads.py``, imported for its scenario makers."""
+    if str(PERFBENCH) not in sys.path:
+        sys.path.append(str(PERFBENCH))
+    import workloads
+
+    return workloads
 
 
 def random_scenario(rng: np.random.Generator, max_paths: int = 4) -> Scenario:

@@ -4,7 +4,6 @@ import hashlib
 import itertools
 import json
 import random
-import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -15,7 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import near_linear_source, np_bound, random_scenario, with_bounding_a
+from conftest import (
+    near_linear_source,
+    np_bound,
+    perfbench_workloads,
+    random_scenario,
+    with_bounding_a,
+)
 from infocalc import algorithms, sources
 from infocalc.algorithms import (
     AchievableRate,
@@ -755,18 +760,6 @@ class TestBestFirst:
 # ---------------------------------------------------------------------------
 # A hopeless bflr is answered before the subset search
 # ---------------------------------------------------------------------------
-
-PERFBENCH = FsPath(__file__).resolve().parents[1] / "perfbench"
-
-
-def perfbench_workloads():
-    """``perfbench/workloads.py``, imported for its scenario makers."""
-    if str(PERFBENCH) not in sys.path:
-        sys.path.append(str(PERFBENCH))
-    import workloads
-
-    return workloads
-
 
 def delay_floor(s: Scenario, p: float) -> float:
     """The smallest delay quantile at violation ``p`` that any path in any

@@ -7,6 +7,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import np_eval, with_bounding_a
 from infocalc.bounding import ExpBound, ZeroBound
@@ -23,8 +25,8 @@ from infocalc.calculus import (
     parallel,
     service_deficit,
 )
-from infocalc.curves import Curve, Segment
-from infocalc.errors import UnboundedDeconvolution
+from infocalc.curves import Curve, Segment, convolve
+from infocalc.errors import NonMonotoneResult, UnboundedDeconvolution
 from infocalc.scenario import effective_path_service
 from infocalc.sources import aggregate_information
 
@@ -34,6 +36,38 @@ D = F(3, 400)
 
 def node(a=1, b=1, rate=R, latency=D):
     return IssSpec(ExpBound(a, b), Curve.rate_latency(rate, latency))
+
+
+#: a two-segment service, which the closed-form operators refuse
+BENT = IssSpec(ExpBound(1, 1), Curve([(0, 1000.0, -1.0), (0.3, 3000.0, 299.0)]))
+
+# Affine curves r*(t - l) of every number kind the pipeline meets: floats
+# (with -0.0 offsets from zero rates or latencies, rates up to 1e300),
+# Fractions, and both kinds in one pair.
+FLOAT_RATES = st.sampled_from([0.0, 8000.0, 1e300]) | st.floats(0.0, 1e300)
+FRACTION_RATES = st.fractions(0, 10**6, max_denominator=1000) | FLOAT_RATES.map(F)
+LATENCIES = (st.sampled_from([0.0, 0.0075]) | st.floats(0.0, 1.0)
+             | st.fractions(0, 1, max_denominator=1000))
+
+
+@st.composite
+def tandem_pair(draw):
+    """Two affine curves of one kind, float or Fraction, or one of each at an
+    equal rate (convolve's tie between a Fraction and a float rate)."""
+    kind = draw(st.sampled_from(["float", "fraction", "mixed"]))
+    if kind == "mixed":
+        rate = draw(FLOAT_RATES)
+        rates = draw(st.permutations([rate, F(rate)]))
+    else:
+        rates = [draw(FLOAT_RATES if kind == "float" else FRACTION_RATES) for _ in range(2)]
+        if draw(st.booleans()):
+            rates[1] = rates[0]
+    latencies = [draw(LATENCIES) for _ in range(2)]
+    if kind == "float":
+        latencies = [float(latency) for latency in latencies]
+    elif kind == "fraction":
+        latencies = [F(latency) for latency in latencies]
+    return [Curve.rate_latency(r, latency) for r, latency in zip(rates, latencies)]
 
 
 class TestConcatenate:
@@ -61,6 +95,19 @@ class TestConcatenate:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             concatenate([])
+
+    @settings(max_examples=300, deadline=None)
+    @given(tandem_pair(), st.booleans())
+    def test_closed_form_prints_as_convolve(self, curves, flip):
+        first, second = curves[::-1] if flip else curves
+        out = concatenate([IssSpec(ExpBound(1, 2), first), IssSpec(ExpBound(3, 4), second)])
+        assert repr(out.curve.segments) == repr(convolve(first, second).segments)
+        assert out.bounding.params() == (4, 6, 0)
+
+    def test_refuses_a_multi_segment_curve(self):
+        for servers in ([node(), BENT], [BENT, node()], [BENT]):
+            with pytest.raises(TypeError):
+                concatenate(servers)
 
 
 class TestOutput:
@@ -196,6 +243,25 @@ class TestBacklogWithinDelay:
         arr = IsaSpec(ZeroBound(), Curve.affine(5592.0, 6.8))
         srv = IssSpec(ExpBound(1, 1), Curve.rate_latency(8000.0, 0.0075))
         assert backlog_within_delay_bound(arr, srv, 0.015, 1e7).bound_value == pytest.approx(0.0, abs=1e-300)
+        assert backlog_within_delay_bound(arr, srv, 0.015, math.inf).bound_value == 0.0
+
+    @pytest.mark.parametrize("groups", [("1",), ("1", "2", "3")], ids=["served", "overloaded"])
+    def test_no_nan_at_infinity(self, case_study, groups):
+        # all nine sources outrun L4 alone, so the deficit is -inf: at x = +inf
+        # the bound claims nothing, as at every finite x; finite x, and a
+        # served path, read fg(x + deficit) as before
+        arr = aggregate_information([src for src in case_study.sources if src.group_id in groups],
+                                    case_study.spatial)
+        srv = effective_path_service(case_study, {"L4"}, "L4")
+        c = service_deficit(arr, srv, 0.005)
+        for x in (0.0, 100.0, 1e300):
+            rep = backlog_within_delay_bound(arr, srv, 0.005, x)
+            assert rep.bound_value == float(rep.bound_function.value(x + c))
+        at_inf = backlog_within_delay_bound(arr, srv, 0.005, math.inf).bound_value
+        if len(groups) == 3:
+            assert at_inf == backlog_bound(arr, srv, math.inf).bound_value == 4.0
+        else:
+            assert at_inf == 0.0
 
 
 @pytest.mark.parametrize("a", [0.001, 0.0])
@@ -232,6 +298,30 @@ class TestImpair:
         out = impair(node(), IsaSpec(ExpBound(3, 3), Curve.rate_latency(R / 3, D)))
         assert out.bounding.params() == (4, 4, 0)
         assert out.curve.segments == (Segment(0, F(2, 3) * R, -F(2, 3) * R * D),)
+
+    @settings(max_examples=300, deadline=None)
+    @given(FLOAT_RATES | FRACTION_RATES, LATENCIES,
+           st.sampled_from([0, 1]) | st.floats(0.0, 1.5) | st.fractions(0, 2, max_denominator=100),
+           LATENCIES)
+    def test_closed_form_prints_as_subtract(self, rate, latency, share, process_latency):
+        # every mix of kinds, shares above 1 included: either both raise or both print the same
+        service = Curve.rate_latency(rate, latency)
+        process = Curve.rate_latency(rate * share, process_latency)
+        try:
+            expected = repr(service.subtract(process).segments)
+        except NonMonotoneResult:
+            with pytest.raises(NonMonotoneResult):
+                impair(IssSpec(ZeroBound(), service), IsaSpec(ZeroBound(), process))
+            return
+        out = impair(IssSpec(ExpBound(1, 2), service), IsaSpec(ExpBound(3, 4), process))
+        assert repr(out.curve.segments) == expected
+        assert out.bounding.params() == (4, 6, 0)
+
+    def test_refuses_a_multi_segment_curve(self):
+        with pytest.raises(TypeError):
+            impair(BENT, IsaSpec(ZeroBound(), Curve.zero()))
+        with pytest.raises(TypeError):
+            impair(node(), IsaSpec(ZeroBound(), BENT.curve))
 
 
 class TestParallel:

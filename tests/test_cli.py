@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -501,3 +502,48 @@ class TestSubprocess:
         for pid, row in impaired.items():
             i = next(k for k, line in enumerate(lines) if line.startswith(f"  {pid}: w/o impairment"))
             assert lines[i + 1] == f"      w/  impairment {row}"
+
+
+# ---------------------------------------------------------------------------
+# Pinned output: the README quick start and the --paper-table1 overrides
+# ---------------------------------------------------------------------------
+
+CLI_GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+
+#: commands on the bundled case study, which ``$SCENARIO`` names: the README
+#: quick start, then pruning and the published per-path boundings
+GOLDEN_COMMANDS = (
+    "ratecal $SCENARIO",
+    "bflr $SCENARIO --delay-ms 35 --violation 0.001",
+    "bflr $SCENARIO --delay-ms 35 --violation 0.0001 --all-subsets",
+    "bflr $SCENARIO --delay-ms 5 --violation 0.001",
+    "ratio $SCENARIO --delay-ms 15 --violation 0.15 --calibrate 59.7 --subset L1+L2+L3",
+    "simulate $SCENARIO --delay-ms 45 --violation 0.001 --runs 10000 --seed 42",
+    "curve $SCENARIO --what path:L1@L1+L2 --t-max 0.05 --format csv",
+    "ratecal $SCENARIO --prune",
+    "ratecal $SCENARIO --paper-table1",
+    "curve $SCENARIO --what path:L3@L3+L4 --paper-table1",
+)
+
+
+def golden_run(command: str) -> dict:
+    """Exit code and sha256 of the standard output of ``command``, run in process."""
+    argv = [case_study_path() if word == "$SCENARIO" else word for word in command.split()]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return {"exit": code, "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+
+
+def test_cli_output_equals_recorded():
+    golden = json.loads(CLI_GOLDEN.read_text())
+    got = {command: golden_run(command) for command in GOLDEN_COMMANDS}
+    assert got.keys() == golden.keys()
+    for command, result in got.items():
+        assert result == golden[command], command
+
+
+if __name__ == "__main__":
+    # rewrite the golden file: PYTHONPATH=src:tests python tests/test_cli.py
+    CLI_GOLDEN.write_text(json.dumps({command: golden_run(command) for command in GOLDEN_COMMANDS},
+                                     indent=1, sort_keys=True) + "\n")

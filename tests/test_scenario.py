@@ -1,16 +1,24 @@
 """Scenario schema: parsing, validation, round-trips, effective service."""
 
+import itertools
 import json
 import re
 
 import numpy as np
 import pytest
 
-from conftest import np_eval
+from conftest import np_eval, perfbench_workloads, random_scenario
+from infocalc.bounding import ExpBound, bf_convolve
+from infocalc.calculus import IssSpec
+from infocalc.curves import Curve, convolve
 from infocalc.errors import SchemaError, ValidationError
 from infocalc.scenario import (
     CASE_STUDY_RATE,
     PAPER_TABLE1_BOUNDINGS,
+    ImpairmentEntry,
+    Node,
+    Path,
+    Scenario,
     case_study_path,
     case_study_scenario,
     effective_path_service,
@@ -18,6 +26,7 @@ from infocalc.scenario import (
     parse_scenario,
     serialize_scenario,
 )
+from infocalc.sources import SpatialModel
 
 R, D = 8000.0, 0.0075
 
@@ -303,6 +312,89 @@ class TestEffectiveService:
         assert spec.bounding.params() == (5.0, 5.0, 0.0)
         assert float(spec.curve.final_slope) == pytest.approx(6400.0)
         assert serialize_scenario(parse_scenario(serialize_scenario(s))) == serialize_scenario(s)
+
+
+def reference_effective_path_service(s, active, path_id, bounding_overrides=None):
+    """The effective service through the general curve algebra: a
+    rate-latency ``Curve`` per node and impairment process, ``Curve.subtract``
+    per active entry and ``curves.convolve`` per further node."""
+    impaired = False
+    servers = []
+    for idx, node in enumerate(s.path(path_id).nodes):
+        bounding = ExpBound(node.bounding_a, node.bounding_b)
+        curve = Curve.rate_latency(node.rate, node.latency)
+        for entry in s.impairments:
+            for mine, partner in ((entry.a, entry.b), (entry.b, entry.a)):
+                if mine == (path_id, idx) and partner[0] in active:
+                    process = entry.process_for(node)
+                    bounding = bf_convolve(bounding, process.bounding)
+                    curve = curve.subtract(process.curve)
+                    impaired = True
+        servers.append((bounding, curve))
+    bounding, curve = servers[0]
+    for node_bounding, node_curve in servers[1:]:
+        curve = convolve(curve, node_curve)
+        bounding = bf_convolve(bounding, node_bounding)
+    if impaired and bounding_overrides and path_id in bounding_overrides:
+        bounding = ExpBound(*bounding_overrides[path_id])
+    return IssSpec(bounding, curve)
+
+
+def degenerate_scenario(rng: np.random.Generator) -> Scenario:
+    """Three paths whose nodes have zero rates or latencies (-0.0 offsets)
+    and whose entries take zero fractions, zero absolute rates or the whole
+    node, at zero or positive latencies."""
+    pick = lambda xs: xs[int(rng.integers(len(xs)))]  # noqa: E731
+    paths = tuple(Path(f"P{p}", tuple(
+        Node(f"P{p}.n{j}", pick([0.0, 1.0]), 1.0, pick([0.0, 4000.0, 8000.0]), pick([0.0, 0.005]))
+        for j in range(int(rng.integers(1, 4))))) for p in range(3))
+    entries = []
+    for i, j in ((0, 1), (1, 2), (0, 2)):
+        a = (f"P{i}", int(rng.integers(len(paths[i].nodes))))
+        b = (f"P{j}", int(rng.integers(len(paths[j].nodes))))
+        if a in {e.a for e in entries} | {e.b for e in entries}:
+            continue  # one entry per node, so no node loses more than its rate
+        frac, rate = pick([(0.0, None), (0.25, None), (1.0, None), (None, 0.0)])
+        entries.append(ImpairmentEntry(a, b, 1.0, 2.0, frac, rate, pick([0.0, 0.0075])))
+    return Scenario((), SpatialModel({}), paths, tuple(entries))
+
+
+def service_scenarios():
+    """(name, scenario) of every family the closed-form services must match."""
+    wl = perfbench_workloads()
+    yield "case study", case_study_scenario()
+    yield "case study exact", case_study_scenario(exact=True)
+    for k in (4, 8, 10):
+        yield f"kpath{k}", parse_scenario(json.dumps(wl.kpath_doc(k)))
+    rng = np.random.default_rng(2024)
+    for i in range(60):
+        yield f"random{i}", random_scenario(rng)
+    rng = np.random.default_rng([903, 2, 4])
+    for k in range(wl.RandomFamily.batch):
+        yield f"random_doc 903/4/{k}", parse_scenario(json.dumps(
+            wl.random_doc(rng, *wl.RandomFamily.shape(k))))
+    rng = np.random.default_rng(5)
+    for i in range(30):
+        yield f"degenerate{i}", degenerate_scenario(rng)
+
+
+def test_effective_service_prints_as_the_curve_algebra():
+    keys = 0
+    for name, s in service_scenarios():
+        for pid in s.path_ids():
+            mates = sorted(s.partners(pid))
+            for some in itertools.chain.from_iterable(
+                    itertools.combinations(mates, k) for k in range(len(mates) + 1)):
+                for overrides in (None, PAPER_TABLE1_BOUNDINGS):
+                    active = {pid, *some}
+                    got = effective_path_service(s, active, pid, overrides)
+                    want = reference_effective_path_service(s, active, pid, overrides)
+                    # the segments' repr tells a Fraction from an int or a float
+                    assert (repr((got.bounding.params(), got.curve.segments))
+                            == repr((want.bounding.params(), want.curve.segments))), \
+                        (name, pid, some, overrides)
+                    keys += 1
+    assert keys > 600
 
 
 def test_standalone_rate_is_bottleneck():
